@@ -237,10 +237,10 @@ func BenchmarkASIC_Inference(b *testing.B) {
 	feats := make([]float64, counters.Num)
 	feats[counters.IdxIPC] = 1.2
 	feats[counters.IdxPPC] = 5
+	inf := core.NewInference(p.Compressed)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		level := p.Compressed.DecideLevel(feats, 0.10)
-		_ = p.Compressed.PredictInstructions(feats, 0.10, level)
+		inf.Decide(feats, 0.10)
 	}
 }
 
@@ -446,7 +446,8 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 }
 
 // BenchmarkModelInference times one combined Decision+Calibrator software
-// inference for the uncompressed and compressed models.
+// inference for the uncompressed and compressed models through a reused
+// core.Inference — the allocation-free path serving uses.
 func BenchmarkModelInference(b *testing.B) {
 	p := pipeline(b)
 	feats := make([]float64, counters.Num)
@@ -458,9 +459,9 @@ func BenchmarkModelInference(b *testing.B) {
 		"compressed": p.Compressed,
 	} {
 		b.Run(name, func(b *testing.B) {
+			inf := core.NewInference(m)
 			for i := 0; i < b.N; i++ {
-				level := m.DecideLevel(feats, 0.10)
-				_ = m.PredictInstructions(feats, 0.10, level)
+				inf.Decide(feats, 0.10)
 			}
 			b.ReportMetric(float64(m.EffectiveFLOPs()), "flops")
 		})
@@ -641,13 +642,13 @@ func BenchmarkServe_DecisionThroughput(b *testing.B) {
 				defer cl.Close()
 				rows := make([]serve.Request, batch)
 				for i := range rows {
-					rows[i] = serve.Request{Preset: 0.10, Features: feats}
+					rows[i] = serve.Request{Preset: 0.10, Features: feats, GPU: -1, Cluster: -1}
 				}
 				b.ResetTimer()
 				start := time.Now()
 				var decisions int64
 				for i := 0; i < b.N; i++ {
-					decs, err := cl.Decide(rows)
+					decs, err := cl.DecideKeyed(rows)
 					if err != nil {
 						b.Fatal(err)
 					}

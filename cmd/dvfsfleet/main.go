@@ -1,7 +1,7 @@
 // Command dvfsfleet is the fleet router in front of a set of ssmdvfsd
 // replicas: it shards (gpu, cluster) decision keys across the replicas
 // on a deterministic consistent-hash ring, coalesces concurrent rows
-// bound for the same replica into multi-row v3 frames, sheds overload
+// bound for the same replica into multi-row frames, sheds overload
 // into the analytical PCSTALL fallback under admission control, and
 // reroutes around replicas that die (re-admitting them when a health
 // probe succeeds).
@@ -29,9 +29,9 @@
 // replica answering with different numerics is taken out of the ring
 // rather than mixed into the fleet. Empty accepts any replica.
 //
-// Clients speak the same binary protocol as to a single daemon — v2
-// clients work unchanged (the router synthesizes a per-connection
-// identity), v3 clients shard per row and learn which shard answered.
+// Clients speak the same binary protocol as to a single daemon: keyed
+// rows shard per row and learn which shard answered; rows without an
+// identity get a synthesized per-connection one.
 //
 // Endpoints:
 //

@@ -29,10 +29,10 @@
 // tests. -qps caps total decisions/second (0 = unlimited: measure peak
 // throughput).
 //
-// With -fleet the target is a dvfsfleet router (or any v3 server): every
-// frame carries a (gpu, cluster) identity so the router shards it, and
-// the exit summary adds a per-shard latency table (p50/p99/p999) plus
-// shed and reroute counts from the keyed responses.
+// With -fleet the target is a dvfsfleet router: every frame carries a
+// (gpu, cluster) identity so the router shards it, and the exit summary
+// adds a per-shard latency table (p50/p99/p999) plus shed and reroute
+// counts from the responses.
 package main
 
 import (
@@ -70,7 +70,7 @@ func main() {
 		qps       = flag.Float64("qps", 0, "target total decisions/second (0 = unlimited)")
 		preset    = flag.Float64("preset", 0.10, "performance-loss preset sent with every row")
 		trace     = flag.String("trace", "", "replay this dvfstrace file (CSV or JSON) instead of synthetic epochs")
-		fleetMode = flag.Bool("fleet", false, "drive a dvfsfleet router with keyed v3 frames and report per-shard latency")
+		fleetMode = flag.Bool("fleet", false, "drive a dvfsfleet router with keyed frames and report per-shard latency")
 		rows      = flag.Int("rows", 4096, "synthetic feature rows to generate (without -trace)")
 		seed      = flag.Int64("seed", 1, "synthetic feature seed")
 		timeout   = flag.Duration("timeout", 5*time.Second, "per-attempt connection timeout")
@@ -104,7 +104,7 @@ func main() {
 	}
 
 	// Tracing: a shared head-based sampler picks 1-in-N batches; sampled
-	// ones go out as traced v3 frames with client.send/recv spans under a
+	// ones carry their trace context, with client.send/recv spans under a
 	// load.decide root, and their per-hop attribution feeds the exit
 	// report's hop table.
 	var tracer *telemetry.Tracer
@@ -243,7 +243,7 @@ type workerStats struct {
 }
 
 // shardLabel renders a shard index for metric labels; -1 (no shard:
-// local shed, or a plain daemon answering keyed frames) becomes "none".
+// local shed, or a plain daemon answering) becomes "none".
 func shardLabel(shard int) string {
 	if shard < 0 {
 		return "none"
@@ -338,8 +338,8 @@ func run(addr string, conns, batch int, duration time.Duration, qps, preset floa
 					}
 					next += conns
 				}
-				// 1-in-N batches go out as traced frames under a
-				// load.decide root span; the rest take the plain path.
+				// 1-in-N batches carry a trace context under a
+				// load.decide root span; the rest go out untraced.
 				var tc telemetry.TraceContext
 				var rootSp *telemetry.Span
 				if sampler != nil {
@@ -351,17 +351,7 @@ func run(addr string, conns, batch int, duration time.Duration, qps, preset floa
 					}
 				}
 				t0 := time.Now()
-				var decs []serve.Decision
-				var hops serve.HopTimings
-				var err error
-				switch {
-				case tc.Sampled():
-					decs, hops, err = cl.DecideKeyedTraced(reqs, tc)
-				case fleetMode:
-					decs, err = cl.DecideKeyed(reqs)
-				default:
-					decs, err = cl.Decide(reqs)
-				}
+				decs, hops, err := cl.DecideKeyedTraced(reqs, tc)
 				lat := time.Since(t0)
 				rootSp.End()
 				if err != nil {

@@ -69,9 +69,9 @@ func main() {
 			feats[counters.IdxMH] = 60000 * m
 			feats[counters.IdxMHNL] = 5000 * m
 			feats[counters.IdxL1CRM] = 2000 * m
-			rows[i] = serve.Request{Preset: 0.10, Features: feats}
+			rows[i] = serve.Request{Preset: 0.10, Features: feats, GPU: -1, Cluster: -1}
 		}
-		if _, err := cl.Decide(rows); err != nil {
+		if _, err := cl.DecideKeyed(rows); err != nil {
 			log.Fatal(err)
 		}
 		if b == batches/2 {

@@ -85,7 +85,10 @@ func (inf *Inference) Bind(m *Model) {
 // Backend returns the kind of backend the context currently infers with.
 func (inf *Inference) Backend() infer.Kind { return inf.dBk.Describe().Kind }
 
-// DecideLevel is Model.DecideLevel without allocations.
+// DecideLevel returns the operating-point level for the next epoch given
+// the full 47-counter vector of the just-finished epoch and the (possibly
+// calibrated) performance-loss preset, through the model's declared
+// inference backend (int8 included).
 func (inf *Inference) DecideLevel(fullFeatures []float64, preset float64) int {
 	m := inf.m
 	n := len(m.FeatureIdx)
@@ -108,7 +111,10 @@ func (inf *Inference) Logits() []float64 { return inf.lastLogits }
 // Like Logits, it aliases scratch and must not be retained.
 func (inf *Inference) DecisionRow() []float64 { return inf.dRow }
 
-// PredictInstructions is Model.PredictInstructions without allocations.
+// PredictInstructions returns the Calibrator's estimate of the next
+// epoch's instruction count given the counters, the *originally set*
+// preset (per the paper, the Calibrator always sees the uncalibrated
+// preset), and the level the Decision-maker chose.
 func (inf *Inference) PredictInstructions(fullFeatures []float64, preset float64, level int) float64 {
 	m := inf.m
 	n := len(m.FeatureIdx)

@@ -14,6 +14,7 @@ import (
 // online re-fit is meant to absorb.
 func refitStream(m *Model, n int, factor float64, seed int64) (rows [][]float64, targets []float64) {
 	rng := rand.New(rand.NewSource(seed))
+	inf := NewInference(m)
 	for i := 0; i < n; i++ {
 		feats := randomFeatures(rng)
 		preset := 0.05 + 0.10*rng.Float64()
@@ -23,7 +24,7 @@ func refitStream(m *Model, n int, factor float64, seed int64) (rows [][]float64,
 			row = append(row, feats[idx])
 		}
 		row = append(row, preset, float64(level))
-		pred := m.PredictInstructions(feats, preset, level)
+		pred := inf.PredictInstructions(feats, preset, level)
 		rows = append(rows, row)
 		targets = append(targets, pred*factor)
 	}
@@ -74,9 +75,10 @@ func TestRefitCalibratorAbsorbsDrift(t *testing.T) {
 
 	// The decision head is inherited verbatim: same logits, same levels.
 	rng := rand.New(rand.NewSource(9))
+	candInf, parentInf := NewInference(cand), NewInference(parent)
 	for i := 0; i < 20; i++ {
 		feats := randomFeatures(rng)
-		if got, want := cand.DecideLevel(feats, 0.1), parent.DecideLevel(feats, 0.1); got != want {
+		if got, want := candInf.DecideLevel(feats, 0.1), parentInf.DecideLevel(feats, 0.1); got != want {
 			t.Fatalf("decision level diverged after refit: %d vs %d", got, want)
 		}
 	}

@@ -1,6 +1,6 @@
 // Package fleet is the multi-replica serving tier: a consistent-hash
 // ring shards (gpu, cluster) decision keys across N ssmdvfsd replicas, a
-// router coalesces rows bound for the same shard into one v3 keyed frame
+// router coalesces rows bound for the same shard into one keyed frame
 // per syscall, and admission control sheds overload into the analytical
 // PCSTALL fallback instead of queuing past the decision deadline. One
 // daemon serves one GPU's 24 clusters; this package is how thousands of

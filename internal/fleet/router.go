@@ -56,10 +56,10 @@ type Options struct {
 
 	// ExpectBackend, when non-empty, is the inference backend every
 	// replica must advertise in hello negotiation ("float64" or "int8").
-	// A replica answering with a different backend — including a legacy
-	// peer that advertises none — is treated as failed and taken out of
-	// the ring, so a fleet pinned to int8 never silently mixes numerics
-	// across shards. Empty accepts any replica.
+	// A replica answering with a different backend — including one that
+	// advertises none — is treated as failed and taken out of the ring,
+	// so a fleet pinned to int8 never silently mixes numerics across
+	// shards. Empty accepts any replica.
 	ExpectBackend string
 
 	// Table is the operating-point table shed rows fall back to; nil
@@ -176,9 +176,9 @@ type shard struct {
 
 // Router is the fleet serving tier: it owns the consistent-hash ring,
 // one coalescer+dispatcher pipeline per replica, admission control, and
-// the v2/v3 front-end transport. Rows enter via Decide (in-process) or
+// the binary-protocol front end. Rows enter via Decide (in-process) or
 // ServeConn (wire), are routed by their (gpu, cluster) key, coalesced
-// into multi-row v3 frames per replica, and always come back with a
+// into multi-row frames per replica, and always come back with a
 // decision — model, rerouted, or shed-to-fallback — never an error.
 type Router struct {
 	opts    Options
@@ -279,9 +279,9 @@ func (rt *Router) Decide(rows []serve.Request, decs []serve.Decision) []serve.De
 
 // DecideTraced is Decide carrying distributed-trace context: sampled
 // rows emit router.queue/coalesce/dispatch spans, propagate the context
-// to replicas that advertised tracing, and return the batch's per-hop
-// latency attribution (merged across rows as a per-field max). A zero
-// context is exactly Decide.
+// to their replicas, and return the batch's per-hop latency attribution
+// (merged across rows as a per-field max). A zero context is exactly
+// Decide.
 func (rt *Router) DecideTraced(rows []serve.Request, decs []serve.Decision, tc telemetry.TraceContext) ([]serve.Decision, serve.HopTimings) {
 	rt.metrics.Requests.Add(1)
 	calls := make([]*call, len(rows))
@@ -437,7 +437,6 @@ func stampDeq(c *call) {
 func (rt *Router) dispatch(s *shard) {
 	defer rt.wg.Done()
 	var cl *serve.Client
-	tracing := false // did this slot's replica advertise tracing?
 	defer func() {
 		if cl != nil {
 			cl.Close()
@@ -466,12 +465,12 @@ func (rt *Router) dispatch(s *shard) {
 		}
 
 		if cl == nil {
-			c, tr, err := rt.dialReplica(s)
+			c, err := rt.dialReplica(s)
 			if err != nil {
 				rt.replicaFailed(s, live, err)
 				continue
 			}
-			cl, tracing = c, tr
+			cl = c
 		}
 		rows = rows[:0]
 		for _, c := range live {
@@ -489,21 +488,12 @@ func (rt *Router) dispatch(s *shard) {
 			}
 		}
 		dspSp := rt.opts.Tracer.StartSpan(parentTC, "router.dispatch", "shard", s.addr)
-		var (
-			decs    []serve.Decision
-			repHops serve.HopTimings
-			err     error
-		)
-		start := time.Now()
-		if tracing && parentTC.Sampled() {
-			childTC := parentTC
-			if dspSp != nil {
-				childTC = dspSp.Context()
-			}
-			decs, repHops, err = cl.DecideKeyedTraced(rows, childTC)
-		} else {
-			decs, err = cl.DecideKeyed(rows)
+		childTC := parentTC
+		if dspSp != nil {
+			childTC = dspSp.Context()
 		}
+		start := time.Now()
+		decs, repHops, err := cl.DecideKeyedTraced(rows, childTC)
 		rtt := time.Since(start)
 		dspSp.End()
 		if err != nil {
@@ -535,27 +525,24 @@ func (rt *Router) dispatch(s *shard) {
 }
 
 // dialReplica connects one dispatch slot to its replica and negotiates
-// the protocol, reporting whether the peer advertised the tracing
-// capability. Traced frames are only sent to peers that did — v2/v3
-// replicas without tracing keep getting plain keyed frames. When the
-// router pins a backend, a replica advertising any other is a dial
-// failure: it leaves the ring rather than answer with the wrong numerics.
-func (rt *Router) dialReplica(s *shard) (*serve.Client, bool, error) {
+// the protocol. When the router pins a backend, a replica advertising
+// any other is a dial failure: it leaves the ring rather than answer
+// with the wrong numerics.
+func (rt *Router) dialReplica(s *shard) (*serve.Client, error) {
 	cl, err := serve.DialContext(context.Background(), s.addr, rt.opts.Dial)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	hello, err := cl.Negotiate()
+	if err == nil {
+		err = rt.checkBackend(hello)
+	}
 	if err != nil {
 		cl.Close()
-		return nil, false, err
-	}
-	if err := rt.checkBackend(hello); err != nil {
-		cl.Close()
-		return nil, false, err
+		return nil, err
 	}
 	rt.noteGeneration(s, hello)
-	return cl, hello.Tracing, nil
+	return cl, nil
 }
 
 // noteGeneration records the model lineage generation a replica
@@ -566,17 +553,13 @@ func (rt *Router) noteGeneration(s *shard, hello serve.Hello) {
 }
 
 // checkBackend verifies a replica's advertised backend against the
-// router's pin. A legacy peer advertises nothing and fails a pinned
-// check — it might be serving anything.
+// router's pin. A peer advertising no backend fails a pinned check — it
+// might be serving anything.
 func (rt *Router) checkBackend(hello serve.Hello) error {
 	if rt.opts.ExpectBackend == "" || hello.Backend == rt.expect {
 		return nil
 	}
-	got := string(hello.Backend)
-	if got == "" {
-		got = "none (legacy peer)"
-	}
-	return fmt.Errorf("fleet: replica advertises backend %s, router requires %q", got, rt.expect)
+	return fmt.Errorf("fleet: replica advertises backend %q, router requires %q", hello.Backend, rt.expect)
 }
 
 // replicaFailed marks a shard unhealthy and reroutes its in-flight calls
@@ -695,11 +678,11 @@ type connBuffers struct {
 	decs  []serve.Decision
 }
 
-// ServeConn speaks the binary protocol to one client: v3 keyed frames
-// route per row through the ring; v2 unkeyed frames get a synthetic
-// per-connection identity so they still shard; MsgHello answers with the
-// router flag and the shard count. Mismatched peers get a structured
-// MsgError, exactly like a single daemon.
+// ServeConn speaks the binary protocol to one client: decide frames
+// route per row through the ring, rows without identity getting a
+// synthetic per-connection one so they still shard; MsgHello answers
+// with the router flag and the shard count. Mismatched peers get a
+// structured MsgError, exactly like a single daemon.
 func (rt *Router) ServeConn(conn net.Conn) {
 	rt.conns.Store(conn, struct{}{})
 	defer func() {
@@ -725,91 +708,41 @@ func (rt *Router) ServeConn(conn net.Conn) {
 // serveFrame answers one front-end frame, reporting whether the
 // connection is still usable.
 func (rt *Router) serveFrame(bw *bufio.Writer, bufs *connBuffers, connID int32, frame []byte) bool {
-	_, msgType, err := serve.ParseHeader(frame)
-	if err != nil {
-		rt.writeError(bw, err)
-		return false
-	}
-	switch msgType {
-	case serve.MsgHello:
-		minVer, maxVer, err := serve.DecodeHelloFrame(frame)
-		if err != nil {
-			rt.writeError(bw, err)
-			return false
+	msgType, err := serve.ParseHeader(frame)
+	switch {
+	case err != nil:
+	case msgType == serve.MsgHello:
+		if err = serve.DecodeHelloFrame(frame); err == nil {
+			bufs.out = serve.AppendHelloAckFrame(bufs.out[:0], serve.Hello{Router: true, Shards: len(rt.shards)})
+			return serve.WriteFrame(bw, bufs.out) == nil && bw.Flush() == nil
 		}
-		if int(minVer) > serve.VersionMax || int(maxVer) < serve.VersionMin {
-			rt.writeError(bw, &serve.ProtoError{Code: serve.ErrCodeVersion,
-				Msg: fmt.Sprintf("no common version: client %d..%d, router %d..%d",
-					minVer, maxVer, serve.VersionMin, serve.VersionMax)})
-			return false
-		}
-		ver := serve.VersionMax
-		if int(maxVer) < ver {
-			ver = int(maxVer)
-		}
-		bufs.out = serve.AppendHelloAckFrame(bufs.out[:0],
-			serve.Hello{Version: ver, Router: true, Shards: len(rt.shards),
-				Tracing: ver >= serve.Version3})
-		return serve.WriteFrame(bw, bufs.out) == nil && bw.Flush() == nil
-
-	case serve.MsgDecide, serve.MsgDecideKeyed, serve.MsgDecideTraced:
-		keyed := msgType != serve.MsgDecide
+	case msgType == serve.MsgDecide:
 		var rows []serve.Request
 		var tc telemetry.TraceContext
-		switch msgType {
-		case serve.MsgDecideTraced:
-			rows, tc, err = serve.DecodeTracedRequestFrame(frame, bufs.rows)
-		case serve.MsgDecideKeyed:
-			rows, err = serve.DecodeKeyedRequestFrame(frame, bufs.rows)
-		default:
-			rows, err = serve.DecodeRequestFrame(frame, bufs.rows)
-		}
-		if err != nil {
-			rt.writeError(bw, &serve.ProtoError{Code: serve.ErrCodeBadFrame, Msg: err.Error()})
-			return false
+		if rows, tc, err = serve.DecodeRequestFrame(frame, bufs.rows); err != nil {
+			break
 		}
 		bufs.rows = rows
-		if !keyed {
-			// v2 rows carry no identity: synthesize a stable one from the
-			// connection and row index so they shard consistently.
-			for i := range rows {
-				rows[i].GPU = connID
-				rows[i].Cluster = int32(i)
+		for i := range rows {
+			if rows[i].GPU < 0 {
+				// No identity: synthesize a stable one from the connection
+				// and row index so the row shards consistently.
+				rows[i].GPU, rows[i].Cluster = connID, int32(i)
 			}
 		}
 		var hops serve.HopTimings
 		bufs.decs, hops = rt.DecideTraced(rows, bufs.decs[:0], tc)
-		var out []byte
-		switch msgType {
-		case serve.MsgDecideTraced:
-			out, err = serve.AppendTracedResponseFrame(bufs.out[:0], serve.StatusOK, bufs.decs, tc.TraceID, hops)
-		case serve.MsgDecideKeyed:
-			out, err = serve.AppendKeyedResponseFrame(bufs.out[:0], serve.StatusOK, bufs.decs)
-		default:
-			out, err = serve.AppendResponseFrame(bufs.out[:0], serve.StatusOK, bufs.decs)
-		}
+		out, err := serve.AppendResponseFrame(bufs.out[:0], bufs.decs, tc.TraceID, hops)
 		if err != nil {
 			return false
 		}
 		bufs.out = out
 		return serve.WriteFrame(bw, out) == nil && bw.Flush() == nil
-
 	default:
-		rt.writeError(bw, &serve.ProtoError{Code: serve.ErrCodeBadFrame,
-			Msg: fmt.Sprintf("unexpected message type %d", msgType)})
-		return false
+		err = fmt.Errorf("unexpected message type %d", msgType)
 	}
-}
-
-// writeError best-effort sends a structured protocol error frame.
-func (rt *Router) writeError(bw *bufio.Writer, err error) {
-	var pe *serve.ProtoError
-	if !errors.As(err, &pe) {
-		pe = &serve.ProtoError{Code: serve.ErrCodeBadFrame, Msg: err.Error()}
-	}
-	if werr := serve.WriteFrame(bw, serve.AppendErrorFrame(nil, pe.Code, pe.Msg)); werr == nil {
-		bw.Flush()
-	}
+	serve.WriteError(bw, err)
+	return false
 }
 
 // Handler returns the router's HTTP surface:

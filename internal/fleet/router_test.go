@@ -95,7 +95,8 @@ func startFleet(tb testing.TB, n int, opts Options) (*Router, []*serve.Server) {
 
 // TestRouterRoutesByKey checks the whole tier end to end over the wire:
 // negotiation reports a router, every keyed row is answered by the model
-// on the shard the ring owns its key to, and v2 clients work unchanged.
+// on the shard the ring owns its key to, and rows without identity still
+// shard.
 func TestRouterRoutesByKey(t *testing.T) {
 	rt, _ := startFleet(t, 3, Options{Seed: 42})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -114,8 +115,8 @@ func TestRouterRoutesByKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !hello.Router || hello.Shards != 3 || hello.Version != serve.VersionMax {
-		t.Fatalf("negotiation = %+v, want router with 3 shards at v%d", hello, serve.VersionMax)
+	if !hello.Router || hello.Shards != 3 || hello.Version != serve.Version {
+		t.Fatalf("negotiation = %+v, want router with 3 shards at v%d", hello, serve.Version)
 	}
 
 	rng := rand.New(rand.NewSource(1))
@@ -146,15 +147,19 @@ func TestRouterRoutesByKey(t *testing.T) {
 		}
 	}
 
-	// The same connection still speaks v2; identity is synthesized
-	// router-side so the rows shard and the response drops shard info.
-	v2, err := cl.Decide(rows[:4])
+	// Rows without identity get one synthesized router-side, so they
+	// still shard and come back with the shard that answered.
+	anon := append([]serve.Request(nil), rows[:4]...)
+	for i := range anon {
+		anon[i].GPU, anon[i].Cluster = -1, -1
+	}
+	anonDecs, err := cl.DecideKeyed(anon)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, d := range v2 {
-		if d.Reason != provenance.ReasonModel || d.Shard != -1 {
-			t.Fatalf("v2 row %d = %+v", i, d)
+	for i, d := range anonDecs {
+		if d.Reason != provenance.ReasonModel || d.Shard < 0 {
+			t.Fatalf("row %d without identity = %+v", i, d)
 		}
 	}
 	if got := rt.Metrics().Rows.Load(); got != int64(len(rows)+4) {

@@ -128,9 +128,8 @@ func TestSwapRejectsCorruptBackend(t *testing.T) {
 	}
 }
 
-// TestHelloAckAdvertisesBackend covers the negotiation advertisement in
-// both encodings: a live exchange against an int8 server, the wire-level
-// round trip, and a legacy 4-byte ack body decoding with no backend.
+// TestHelloAckAdvertisesBackend covers the negotiation advertisement: a
+// live exchange against an int8 server and the wire-level round trip.
 func TestHelloAckAdvertisesBackend(t *testing.T) {
 	srv, err := NewServer(testModel(t, 26), Options{Backend: "int8"})
 	if err != nil {
@@ -148,22 +147,12 @@ func TestHelloAckAdvertisesBackend(t *testing.T) {
 		t.Fatalf("negotiated backend = %q, want %q", hello.Backend, infer.KindInt8)
 	}
 
-	frame := AppendHelloAckFrame(nil, Hello{Version: Version3, Backend: infer.KindFloat64})
+	frame := AppendHelloAckFrame(nil, Hello{Backend: infer.KindFloat64})
 	got, err := DecodeHelloAckFrame(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Backend != infer.KindFloat64 {
 		t.Fatalf("round-tripped backend = %q, want %q", got.Backend, infer.KindFloat64)
-	}
-
-	// A peer that predates the backend byte sends a 4-byte body; the
-	// decode must accept it and report no advertisement.
-	legacy, err := DecodeHelloAckFrame(frame[:headerLen+4])
-	if err != nil {
-		t.Fatalf("legacy hello-ack rejected: %v", err)
-	}
-	if legacy.Backend != "" {
-		t.Fatalf("legacy hello-ack backend = %q, want empty", legacy.Backend)
 	}
 }

@@ -105,12 +105,12 @@ func TestChaosServingUnderFaults(t *testing.T) {
 			rows := make([]Request, rowsPer)
 			for b := 0; b < batches; b++ {
 				for i := range rows {
-					rows[i] = Request{Preset: 0.1, Features: featureRow(rng)}
+					rows[i] = Request{Preset: 0.1, Features: featureRow(rng), GPU: -1, Cluster: -1}
 				}
 				if b%10 == 5 {
 					rows[b%rowsPer].Features[3] = math.NaN() // hostile input rides along
 				}
-				decs, err := cl.Decide(rows)
+				decs, err := cl.DecideKeyed(rows)
 				if err != nil {
 					t.Errorf("client %d batch %d: %v", c, b, err)
 					return
@@ -204,7 +204,7 @@ func TestChaosServingUnderFaults(t *testing.T) {
 	}
 	defer cl.Close()
 	rng := rand.New(rand.NewSource(99))
-	if _, err := cl.Decide([]Request{{Preset: 0.1, Features: featureRow(rng)}}); err != nil {
+	if _, err := cl.DecideKeyed([]Request{{Preset: 0.1, Features: featureRow(rng), GPU: -1, Cluster: -1}}); err != nil {
 		t.Fatalf("post-chaos request: %v", err)
 	}
 
@@ -243,9 +243,9 @@ func TestClientReconnectOnDrop(t *testing.T) {
 	defer cl.Close()
 
 	rng := rand.New(rand.NewSource(41))
-	rows := []Request{{Preset: 0.1, Features: featureRow(rng)}}
+	rows := []Request{{Preset: 0.1, Features: featureRow(rng), GPU: -1, Cluster: -1}}
 	for b := 0; b < 12; b++ {
-		if _, err := cl.Decide(rows); err != nil {
+		if _, err := cl.DecideKeyed(rows); err != nil {
 			t.Fatalf("batch %d: %v", b, err)
 		}
 	}
@@ -292,7 +292,7 @@ func TestClientDialRetry(t *testing.T) {
 	}
 	defer cl.Close()
 	rng := rand.New(rand.NewSource(42))
-	if _, err := cl.Decide([]Request{{Preset: 0.1, Features: featureRow(rng)}}); err != nil {
+	if _, err := cl.DecideKeyed([]Request{{Preset: 0.1, Features: featureRow(rng), GPU: -1, Cluster: -1}}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -33,14 +33,14 @@ func TestDegradeInvalidRowsBinary(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	rows := make([]Request, 8)
 	for i := range rows {
-		rows[i] = Request{Preset: 0.1, Features: featureRow(rng)}
+		rows[i] = Request{Preset: 0.1, Features: featureRow(rng), GPU: -1, Cluster: -1}
 	}
 	rows[1].Features[3] = math.NaN()
 	rows[3].Features[0] = math.Inf(1)
 	rows[5].Features[10] = -2e15 // beyond ±maxFeature
 	rows[6].Preset = math.NaN()
 
-	decs, err := NewClient(client).Decide(rows)
+	decs, err := NewClient(client).DecideKeyed(rows)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"math/rand"
 	"net"
@@ -13,7 +14,10 @@ import (
 
 	"ssmdvfs/internal/core"
 	"ssmdvfs/internal/counters"
+	"ssmdvfs/internal/faults"
 	"ssmdvfs/internal/nn"
+	"ssmdvfs/internal/provenance"
+	"ssmdvfs/internal/telemetry"
 )
 
 // testModel builds a small untrained (but deterministic) model: serving
@@ -99,9 +103,9 @@ func TestServeTCPEndToEnd(t *testing.T) {
 			rows := make([]Request, rowsPer)
 			for b := 0; b < batches; b++ {
 				for i := range rows {
-					rows[i] = Request{Preset: 0.1, Features: featureRow(rng)}
+					rows[i] = Request{Preset: 0.1, Features: featureRow(rng), GPU: -1, Cluster: -1}
 				}
-				decs, err := cl.Decide(rows)
+				decs, err := cl.DecideKeyed(rows)
 				if err != nil {
 					t.Errorf("client %d batch %d: %v", c, b, err)
 					return
@@ -170,13 +174,17 @@ func TestServeConnMalformedFrame(t *testing.T) {
 	// A frame with valid length but garbage payload.
 	payload := []byte("this is not a request")
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, payload); err != nil {
+	if err := WriteFrame(&buf, payload); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := client.Write(buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadResponse(client); err == nil {
+	frame, err := ReadFrame(client, nil)
+	if err == nil {
+		_, _, _, err = DecodeResponseFrame(frame, nil)
+	}
+	if err == nil {
 		t.Fatal("malformed frame got a success response")
 	}
 	if got := srv.Metrics().Errors.Load(); got == 0 {
@@ -333,15 +341,15 @@ func TestServedDecisionsMatchDirectModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	rows := make([]Request, 32)
 	for i := range rows {
-		rows[i] = Request{Preset: 0.15, Features: featureRow(rng)}
+		rows[i] = Request{Preset: 0.15, Features: featureRow(rng), GPU: -1, Cluster: -1}
 	}
-	decs, err := cl.Decide(rows)
+	decs, err := cl.DecideKeyed(rows)
 	if err != nil {
 		t.Fatal(err)
 	}
+	inf := core.NewInference(m)
 	for i, row := range rows {
-		wantLevel := m.DecideLevel(row.Features, row.Preset)
-		wantPred := m.PredictInstructions(row.Features, row.Preset, wantLevel)
+		wantLevel, wantPred := inf.Decide(row.Features, row.Preset)
 		if decs[i].Level != wantLevel {
 			t.Fatalf("row %d: served level %d, direct %d", i, decs[i].Level, wantLevel)
 		}
@@ -372,5 +380,329 @@ func TestLoadModelQuantized(t *testing.T) {
 	}
 	if _, err := LoadModel(filepath.Join(t.TempDir(), "missing.json"), 0); err == nil {
 		t.Fatal("missing file accepted")
+	}
+}
+
+// TestServeConnNegotiatesAndDecides drives one connection through hello
+// negotiation and a keyed request: a plain daemon reports no router and
+// answers keyed rows with no shard identity.
+func TestServeConnNegotiatesAndDecides(t *testing.T) {
+	srv, err := NewServer(testModel(t, 31), Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.ServeTCP(l)
+	defer srv.Close()
+
+	cl, err := Dial(l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	hello, err := cl.Negotiate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hello.Version != Version {
+		t.Fatalf("negotiated version %d, want %d", hello.Version, Version)
+	}
+	if hello.Router {
+		t.Fatal("daemon claims to be a router")
+	}
+
+	rng := rand.New(rand.NewSource(31))
+	rows := []Request{{Preset: 0.1, Features: featureRow(rng), GPU: 2, Cluster: 7}}
+
+	decs, err := cl.DecideKeyed(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(decs) != 1 || decs[0].Shard != -1 || decs[0].Rerouted {
+		t.Fatalf("keyed decision = %+v", decs)
+	}
+	if decs[0].Reason != provenance.ReasonModel {
+		t.Fatalf("keyed decision reason = %v", decs[0].Reason)
+	}
+}
+
+// TestKeyedRowsCarryClusterIntoProvenance sends keyed frames and checks
+// the flight recorder attributes decisions to the requesting cluster.
+func TestKeyedRowsCarryClusterIntoProvenance(t *testing.T) {
+	srv, err := NewServer(testModel(t, 32), Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.EnableProvenance(16, provenance.MonitorOptions{})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.ServeTCP(l)
+	defer srv.Close()
+
+	cl, err := Dial(l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	rng := rand.New(rand.NewSource(32))
+	if _, err := cl.DecideKeyed([]Request{{Preset: 0.1, Features: featureRow(rng), GPU: 1, Cluster: 19}}); err != nil {
+		t.Fatal(err)
+	}
+	recs := srv.FlightRecorder().Snapshot(nil)
+	if len(recs) != 1 || recs[0].Cluster != 19 {
+		t.Fatalf("recorded %d records, cluster %d; want 1 record for cluster 19", len(recs), recs[0].Cluster)
+	}
+}
+
+// TestBadMagicGetsStructuredError sends garbage with a valid length
+// prefix and expects a typed MsgError refusal, not a silent close.
+func TestBadMagicGetsStructuredError(t *testing.T) {
+	srv, err := NewServer(testModel(t, 33), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.ServeTCP(l)
+	defer srv.Close()
+
+	conn, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	payload := []byte("GET / HTTP/1.1\r\n") // not our protocol
+	var pre [4]byte
+	binary.BigEndian.PutUint32(pre[:], uint32(len(payload)))
+	conn.Write(pre[:])
+	conn.Write(payload)
+
+	frame, err := ReadFrame(conn, nil)
+	if err != nil {
+		t.Fatalf("no structured error frame: %v", err)
+	}
+	pe, err := DecodeErrorFrame(frame)
+	if err != nil || pe.Code != ErrCodeBadMagic {
+		t.Fatalf("got %v, %v; want ProtoError code %d", pe, err, ErrCodeBadMagic)
+	}
+}
+
+// TestVersionMismatchGetsStructuredError sends the hello a v3 peer
+// sends — a v3 header offering versions 2..3 — and expects a typed
+// version refusal.
+func TestVersionMismatchGetsStructuredError(t *testing.T) {
+	srv, err := NewServer(testModel(t, 34), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.ServeTCP(l)
+	defer srv.Close()
+
+	conn, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	hello := append(AppendHelloFrame(nil), 2, 3)
+	hello[4] = 3
+	var pre [4]byte
+	binary.BigEndian.PutUint32(pre[:], uint32(len(hello)))
+	conn.Write(pre[:])
+	conn.Write(hello)
+
+	frame, err := ReadFrame(conn, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pe, err := DecodeErrorFrame(frame); err != nil || pe.Code != ErrCodeVersion {
+		t.Fatalf("got %v, %v; want ProtoError code %d", pe, err, ErrCodeVersion)
+	}
+}
+
+// TestDecide503InFallbackOnly forces the health machine into
+// fallback-only and expects HTTP /decide to refuse with 503 +
+// Retry-After (binary transport keeps serving fallback decisions).
+func TestDecide503InFallbackOnly(t *testing.T) {
+	inj := faults.New(7)
+	if err := inj.Arm(FaultDecide, faults.Spec{Kind: faults.KindError, Every: 1}); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(testModel(t, 35), Options{
+		Faults: inj,
+		Health: HealthOptions{FailThreshold: 2, ProbeEvery: 1 << 30},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(35))
+	rows := []Request{{Preset: 0.1, Features: featureRow(rng), GPU: -1, Cluster: -1}}
+	srv.decideBatch(rows, nil)
+	srv.decideBatch(rows, nil)
+	if got := srv.Health(); got != FallbackOnly {
+		t.Fatalf("health = %s, want fallback-only", got)
+	}
+
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	body, _ := json.Marshal(map[string]any{"features": rows[0].Features, "preset": 0.1})
+	resp, err := http.Post(ts.URL+"/decide", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("/decide in fallback-only: status %d, want 503", resp.StatusCode)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Fatal("503 without Retry-After header")
+	}
+	if got := srv.Metrics().Unavailable.Load(); got != 1 {
+		t.Fatalf("unavailable counter = %d, want 1", got)
+	}
+
+	// The binary path still answers (fallback decisions), so the µs-scale
+	// control loop is never starved.
+	decs := srv.decideBatch(rows, nil)
+	if len(decs) != 1 || decs[0].Reason != provenance.ReasonFallbackOnly {
+		t.Fatalf("binary-path decision in fallback-only = %+v", decs)
+	}
+}
+
+// TestTracedDecideEndToEnd drives a traced request through a live
+// server: the hello-ack advertises tracing, the traced response carries
+// inference attribution, engine spans share the request's trace ID, and
+// the flight recorder stamps it so /debug/decisions?trace= can find it.
+func TestTracedDecideEndToEnd(t *testing.T) {
+	srv, err := NewServer(testModel(t, 61), Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.EnableProvenance(64, provenance.MonitorOptions{})
+	var spanBuf bytes.Buffer
+	tracer := telemetry.NewTracer(&spanBuf)
+	srv.SetTracer(tracer)
+
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.ServeTCP(l)
+	defer srv.Close()
+
+	cl, err := Dial(l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	hello, err := cl.Negotiate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hello.Tracing {
+		t.Fatal("daemon must advertise tracing capability")
+	}
+
+	rng := rand.New(rand.NewSource(61))
+	rows := []Request{{Preset: 0.1, Features: featureRow(rng), GPU: 2, Cluster: 5}}
+	tc := telemetry.NewSampler(1, 77).Next()
+	decs, hops, err := cl.DecideKeyedTraced(rows, tc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(decs) != 1 || decs[0].Reason != provenance.ReasonModel {
+		t.Fatalf("traced decisions = %+v", decs)
+	}
+	if hops.QueueUs != 0 || hops.CoalesceUs != 0 {
+		t.Fatalf("daemon invented router hops: %+v", hops)
+	}
+
+	if err := tracer.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	spans, err := telemetry.ReadSpans(&spanBuf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantID := telemetry.FormatTraceID(tc.TraceID)
+	byName := map[string]telemetry.SpanRecord{}
+	for _, sp := range spans {
+		if sp.TraceID != wantID {
+			t.Fatalf("span %s carries trace %q, want %q", sp.Name, sp.TraceID, wantID)
+		}
+		byName[sp.Name] = sp
+	}
+	for _, name := range []string{"engine.decode", "engine.batch", "engine.inference"} {
+		if _, ok := byName[name]; !ok {
+			t.Fatalf("missing span %s (got %v)", name, spans)
+		}
+	}
+
+	recs := srv.FlightRecorder().Snapshot(nil)
+	if len(recs) != 1 || recs[0].TraceID != tc.TraceID {
+		t.Fatalf("flight recorder trace stamp: %+v", recs)
+	}
+
+	// An untraced request gets no hop attribution.
+	decs, hops, err = cl.DecideKeyedTraced(rows, telemetry.TraceContext{})
+	if err != nil || len(decs) != 1 {
+		t.Fatalf("unsampled traced call: %v %+v", err, decs)
+	}
+	if hops != (HopTimings{}) {
+		t.Fatalf("unsampled call returned hops %+v", hops)
+	}
+}
+
+// TestTracingDisabledDecideBatchZeroAlloc pins the acceptance criterion:
+// the tracing-disabled decision path (no tracer, zero trace context)
+// allocates nothing.
+func TestTracingDisabledDecideBatchZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector defeats sync.Pool reuse")
+	}
+	srv, err := NewServer(testModel(t, 62), Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(62))
+	rows := []Request{{Preset: 0.1, Features: featureRow(rng), GPU: 1, Cluster: 1}}
+	decs := make([]Decision, 0, 4)
+	decs, _ = srv.DecideBatchTraced(rows, decs[:0], telemetry.TraceContext{}) // warm pools
+	allocs := testing.AllocsPerRun(200, func() {
+		decs, _ = srv.DecideBatchTraced(rows, decs[:0], telemetry.TraceContext{})
+	})
+	if allocs != 0 {
+		t.Fatalf("tracing-disabled DecideBatchTraced allocates %v/op, want 0", allocs)
+	}
+}
+
+// BenchmarkDecide_TracingDisabled measures (and, via -benchmem, proves
+// allocation-free) the decision path with tracing compiled in but
+// disabled — the CI zero-alloc step asserts 0 allocs/op on this.
+func BenchmarkDecide_TracingDisabled(b *testing.B) {
+	srv, err := NewServer(testModel(b, 63), Options{Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(63))
+	rows := []Request{{Preset: 0.1, Features: featureRow(rng), GPU: 1, Cluster: 1}}
+	decs := make([]Decision, 0, 4)
+	decs, _ = srv.DecideBatchTraced(rows, decs[:0], telemetry.TraceContext{})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		decs, _ = srv.DecideBatchTraced(rows, decs[:0], telemetry.TraceContext{})
 	}
 }

@@ -40,10 +40,10 @@ const (
 )
 
 // Server is the transport layer around an Engine: it speaks the binary
-// protocol (v2 unkeyed and v3 keyed frames, with hello/ack version
-// negotiation and structured protocol errors) over TCP and JSON over
-// HTTP. One Server may serve both transports simultaneously; they share
-// the Engine's model pointer, worker pool, and metrics.
+// protocol (one request/response frame, a hello/ack handshake and
+// structured protocol errors) over TCP and JSON over HTTP. One Server may
+// serve both transports simultaneously; they share the Engine's model
+// pointer, worker pool, and metrics.
 type Server struct {
 	*Engine
 
@@ -79,13 +79,12 @@ func NewServerEngine(e *Engine) *Server {
 	return s
 }
 
-// ServeConn handles one binary-protocol connection until EOF or error.
-// It speaks both frame generations: v2 unkeyed decide frames (old
-// clients) and v3 keyed batch frames, answering each request in the
-// dialect it arrived in. MsgHello frames negotiate the protocol version;
-// frames with a bad magic or an unsupported version are answered with a
-// structured MsgError frame before the connection drops, so a mismatched
-// peer gets a typed refusal instead of a hung read.
+// ServeConn handles one binary-protocol connection until EOF or error:
+// MsgDecide frames get decisions, MsgHello gets this daemon's hello-ack,
+// and frames with a bad magic, another protocol version or a malformed
+// body are answered with a structured MsgError frame before the
+// connection drops, so a mismatched peer gets a typed refusal instead of
+// a hung read.
 func (s *Server) ServeConn(conn net.Conn) {
 	s.metrics.Conns.Add(1)
 	s.conns.Store(conn, struct{}{})
@@ -107,7 +106,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 		if err := s.faults.Inject(FaultConn); err != nil {
 			return
 		}
-		frame, err := readFrame(br, bufs.frame)
+		frame, err := ReadFrame(br, bufs.frame)
 		if err != nil {
 			// EOF and closed/truncated connections are normal client
 			// departures; anything else (oversized frame) is a protocol
@@ -128,117 +127,72 @@ func (s *Server) ServeConn(conn net.Conn) {
 // serveFrame answers one request frame, reporting whether the connection
 // is still usable.
 func (s *Server) serveFrame(bw *bufio.Writer, bufs *connBuffers, frame []byte) bool {
-	_, msgType, err := parseHeader(frame)
-	if err != nil {
+	msgType, err := ParseHeader(frame)
+	switch {
+	case err != nil:
 		// Not our protocol (or a version we do not speak): refuse with a
 		// structured error so the peer does not hang on a silent close.
-		s.metrics.Errors.Add(1)
-		s.writeError(bw, err)
-		return false
-	}
-
-	switch msgType {
-	case MsgHello:
-		minVer, maxVer, err := DecodeHelloFrame(frame)
-		if err != nil {
-			s.metrics.Errors.Add(1)
-			s.writeError(bw, err)
-			return false
+	case msgType == MsgHello:
+		// The backend and generation let a fleet router vet a replica
+		// before admitting it to its ring.
+		if err = DecodeHelloFrame(frame); err == nil {
+			bufs.out = AppendHelloAckFrame(bufs.out[:0], Hello{Backend: s.BackendKind(), Generation: s.Generation()})
+			return WriteFrame(bw, bufs.out) == nil && bw.Flush() == nil
 		}
-		if int(minVer) > VersionMax || int(maxVer) < VersionMin {
-			s.metrics.Errors.Add(1)
-			s.writeError(bw, &ProtoError{Code: ErrCodeVersion,
-				Msg: fmt.Sprintf("no common version: client %d..%d, server %d..%d", minVer, maxVer, VersionMin, VersionMax)})
-			return false
-		}
-		ver := VersionMax
-		if int(maxVer) < ver {
-			ver = int(maxVer)
-		}
-		bufs.out = AppendHelloAckFrame(bufs.out[:0], s.helloAck(ver))
-		return writeFrame(bw, bufs.out) == nil && bw.Flush() == nil
-
-	case MsgDecide, MsgDecideKeyed, MsgDecideTraced:
-		start := time.Now()
-		var rows []Request
-		var tc telemetry.TraceContext
-		switch msgType {
-		case MsgDecideKeyed:
-			rows, err = DecodeKeyedRequestFrame(frame, bufs.rows)
-		case MsgDecideTraced:
-			rows, tc, err = DecodeTracedRequestFrame(frame, bufs.rows)
-		default:
-			rows, err = DecodeRequestFrame(frame, bufs.rows)
-		}
-		if err != nil {
-			// Protocol violation: report and drop the connection, since
-			// framing can no longer be trusted.
-			s.metrics.Errors.Add(1)
-			s.writeError(bw, &ProtoError{Code: ErrCodeBadFrame, Msg: err.Error()})
-			return false
-		}
-		bufs.rows = rows
-		if tc.Sampled() {
-			// Retrospective decode span: the frame's trace context is only
-			// known after decoding, so stamp the interval after the fact.
-			dsp := s.tracer.StartSpanAt(tc, "engine.decode", start)
-			dsp.EndAt(time.Now())
-		}
-
-		var out []byte
-		var inferUs uint32
-		switch msgType {
-		case MsgDecideTraced:
-			bufs.decs, inferUs = s.DecideBatchTraced(rows, bufs.decs[:0], tc)
-			out, err = AppendTracedResponseFrame(bufs.out[:0], StatusOK, bufs.decs, tc.TraceID, HopTimings{InferUs: inferUs})
-		case MsgDecideKeyed:
-			bufs.decs = s.decideBatch(rows, bufs.decs[:0])
-			out, err = AppendKeyedResponseFrame(bufs.out[:0], StatusOK, bufs.decs)
-		default:
-			bufs.decs = s.decideBatch(rows, bufs.decs[:0])
-			out, err = AppendResponseFrame(bufs.out[:0], StatusOK, bufs.decs)
-		}
-		if err != nil {
-			s.metrics.Errors.Add(1)
-			return false
-		}
-		bufs.out = out
-		if err := writeFrame(bw, out); err != nil {
-			return false
-		}
-		if err := bw.Flush(); err != nil {
-			return false
-		}
-		s.metrics.ObserveBatchTraced(len(rows), time.Since(start), tc.TraceID)
-		return true
-
+	case msgType == MsgDecide:
+		return s.serveDecide(bw, bufs, frame)
 	default:
+		err = fmt.Errorf("unexpected message type %d", msgType)
+	}
+	s.metrics.Errors.Add(1)
+	WriteError(bw, err)
+	return false
+}
+
+// serveDecide answers one decide frame. The batch is counted before the
+// response is released, so a client that has its answer also sees it in
+// every counter.
+func (s *Server) serveDecide(bw *bufio.Writer, bufs *connBuffers, frame []byte) bool {
+	start := time.Now()
+	rows, tc, err := DecodeRequestFrame(frame, bufs.rows)
+	if err != nil {
+		// Protocol violation: report and drop the connection, since
+		// framing can no longer be trusted.
 		s.metrics.Errors.Add(1)
-		s.writeError(bw, &ProtoError{Code: ErrCodeBadFrame,
-			Msg: fmt.Sprintf("unexpected message type %d", msgType)})
+		WriteError(bw, err)
 		return false
 	}
+	bufs.rows = rows
+	if tc.Sampled() {
+		// Retrospective decode span: the frame's trace context is only
+		// known after decoding, so stamp the interval after the fact.
+		dsp := s.tracer.StartSpanAt(tc, "engine.decode", start)
+		dsp.EndAt(time.Now())
+	}
+	var hops HopTimings
+	if tc.Valid() {
+		bufs.decs, hops.InferUs = s.DecideBatchTraced(rows, bufs.decs[:0], tc)
+	} else {
+		bufs.decs = s.decideBatch(rows, bufs.decs[:0])
+	}
+	out, err := AppendResponseFrame(bufs.out[:0], bufs.decs, tc.TraceID, hops)
+	if err != nil {
+		s.metrics.Errors.Add(1)
+		return false
+	}
+	bufs.out = out
+	s.metrics.ObserveBatchTraced(len(rows), time.Since(start), tc.TraceID)
+	return WriteFrame(bw, out) == nil && bw.Flush() == nil
 }
 
-// helloAck describes this server in version negotiation: a single-GPU
-// daemon (routers override this in their own transport). Tracing is a
-// protocol capability — advertised whether or not a span tracer is
-// currently attached, since traced frames decode fine either way. The
-// backend advertisement lets a fleet router verify every replica serves
-// with the backend the operator expects before admitting it to the ring.
-func (s *Server) helloAck(version int) Hello {
-	return Hello{Version: version, Tracing: version >= Version3,
-		Backend: s.BackendKind(), Generation: s.Generation()}
-}
-
-// writeError best-effort sends a structured protocol error frame. err is
+// WriteError best-effort sends a structured protocol error frame. err is
 // wrapped into an ErrCodeBadFrame ProtoError when it is not one already.
-func (s *Server) writeError(bw *bufio.Writer, err error) {
+func WriteError(bw *bufio.Writer, err error) {
 	var pe *ProtoError
 	if !errors.As(err, &pe) {
 		pe = &ProtoError{Code: ErrCodeBadFrame, Msg: err.Error()}
 	}
-	if werr := writeFrame(bw, AppendErrorFrame(nil, pe.Code, pe.Msg)); werr == nil {
+	if werr := WriteFrame(bw, AppendErrorFrame(nil, pe.Code, pe.Msg)); werr == nil {
 		bw.Flush()
 	}
 }

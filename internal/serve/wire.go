@@ -8,7 +8,6 @@
 package serve
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -29,74 +28,63 @@ import (
 // and every payload starts with a fixed header,
 //
 //	uint32  magic   "SDVF"
-//	uint8   version (2)
+//	uint8   version (Version; any other is refused)
 //	uint8   message type
 //
-// A decide request carries a batch of rows, each a performance-loss
-// preset followed by the full 47-counter feature vector (feature
-// selection happens inside the model, exactly as in the simulator loop):
+// There is one request layout and one response layout. A decide request
+// (MsgDecide) carries distributed-trace context and a batch of rows, each
+// keyed by the requesting cluster and holding a performance-loss preset
+// plus the full 47-counter feature vector (feature selection happens
+// inside the model, exactly as in the simulator loop):
 //
-//	uint16  row count (>= 1)
+//	uint64  trace ID, uint64 parent span ID, uint8 trace flags
+//	uint16  row count (1..MaxBatch)
 //	uint16  feature dimension (must equal counters.Num)
-//	rows    count × (1+dim) float64, preset first
+//	rows    count × (int32 gpu, int32 cluster, float64 preset, dim × float64)
 //
-// A decide response carries one status byte, then per row the chosen
-// level, the provenance reason that produced it, and the predicted
+// An all-zero trace context means untraced. A row with gpu < 0 carries no
+// identity; a fleet router synthesizes one so it still shards.
+//
+// A decide response (MsgDecisions) echoes the trace ID, carries the
+// per-hop latency attribution (zero unless a traced request filled it),
+// and per row the chosen level, the provenance reason that produced it, a
+// flags byte (bit 0: rerouted; the other bits are reserved and rejected),
+// the fleet shard that answered (0xffff: none) and the predicted
 // next-epoch instruction count:
 //
-//	uint8   status (0 = OK; otherwise count is 0)
+//	uint8   status (StatusOK)
+//	uint64  trace ID (echo)
+//	uint32  queue µs, uint32 coalesce µs, uint32 dispatch µs, uint32 infer µs
 //	uint16  row count
-//	rows    count × (uint8 level, uint8 reason, float64 predicted instructions)
+//	rows    count × (uint8 level, uint8 reason, uint8 flags, uint16 shard, float64)
 //
-// Version history: v1 response rows had no reason byte; v2 added it so
-// clients can tell a model answer from a degraded one; v3 (current)
-// added keyed multi-row frames for fleet routing — every request row
-// carries its (gpu, cluster) identity so a router can coalesce rows from
-// many clients into one frame per replica and demultiplex the answers —
-// plus an explicit hello/ack version negotiation and a structured error
-// message, so a mismatched peer gets a typed refusal instead of a hung
-// read. A v3 server answers v2 frames with v2 responses, so old clients
-// keep working unchanged.
+// A client may open with MsgHello, a bare header whose version is the
+// offer. The server answers MsgHelloAck with one fixed body,
+//
+//	uint8   flags (HelloFlagRouter; the other bits are reserved)
+//	uint16  shard count (0 for a single daemon)
+//	uint8   serving backend (0 unspecified, 1 float64, 2 int8)
+//	uint32  model lineage generation
+//
+// A frame the server cannot serve — wrong magic, another version, a
+// malformed body — is answered with MsgError before the connection drops,
+// so a mismatched peer gets a typed refusal instead of a hung read:
+//
+//	uint16  code (ErrCode*), uint16 message length (<= 512), message
+//
+// Version history: v1 response rows had no reason byte; v2 added it; v3
+// added keyed and traced frames beside the plain ones, negotiated per
+// peer; v4 made the traced keyed layout the only one.
 const (
 	Magic   = 0x53445646 // "SDVF"
-	Version = 2          // the v2 frame version byte (unkeyed rows)
+	Version = 4
 
-	// Version3 is the keyed-frame protocol version. VersionMin/VersionMax
-	// bound what a server accepts and what Hello negotiation can agree on.
-	Version3   = 3
-	VersionMin = 2
-	VersionMax = 3
-
-	// MsgDecide and MsgDecisions are the v2 request/response types.
+	// Message types. 3, 4, 8 and 9 were v3's keyed and traced variants.
 	MsgDecide    = 1
 	MsgDecisions = 2
-
-	// MsgDecideKeyed and MsgDecisionsKeyed are the v3 keyed batch
-	// request/response types (rows carry gpu/cluster identity; response
-	// rows carry the shard that answered and a rerouted flag).
-	MsgDecideKeyed    = 3
-	MsgDecisionsKeyed = 4
-
-	// MsgHello and MsgHelloAck negotiate the protocol version on connect:
-	// the client offers its [min,max] supported versions, the server
-	// answers with the highest version both sides speak plus its role
-	// (daemon or router) and shard count.
-	MsgHello    = 5
-	MsgHelloAck = 6
-
-	// MsgError is a structured protocol error: a code and a human-readable
-	// message, sent before the server drops a connection it cannot serve.
-	MsgError = 7
-
-	// MsgDecideTraced and MsgDecisionsTraced are the v3 traced batch
-	// request/response types: a keyed frame plus distributed-trace
-	// context on the request (trace ID, parent span ID, flags) and
-	// per-hop latency attribution on the response (queue, coalesce,
-	// dispatch, inference microseconds). Only sent to peers whose
-	// hello-ack advertises HelloFlagTracing, so v2/v3 peers without
-	// tracing support never see them.
-	MsgDecideTraced    = 8
-	MsgDecisionsTraced = 9
+	MsgHello     = 5
+	MsgHelloAck  = 6
+	MsgError     = 7
 
 	// MaxFrame bounds a frame payload; anything larger is rejected before
 	// allocation, so a corrupt length prefix cannot balloon memory.
@@ -105,38 +93,37 @@ const (
 	// MaxBatch bounds the rows in one request frame.
 	MaxBatch = 1024
 
-	// StatusOK and StatusError are the response status codes.
-	StatusOK    = 0
-	StatusError = 1
+	// StatusOK is the only status a served response carries.
+	StatusOK = 0
 
-	headerLen = 6
+	// HelloFlagRouter in a HelloAck marks the peer as a fleet router
+	// rather than a single-GPU daemon.
+	HelloFlagRouter = 1
+
+	headerLen   = 6
+	reqPrefix   = 8 + 8 + 1 + 2 + 2 // trace ID, span ID, flags, count, dim
+	reqRowFixed = 4 + 4 + 8         // gpu, cluster, preset
+	respPrefix  = 1 + 8 + 4*4 + 2   // status, trace ID, hops, count
+	respRow     = 1 + 1 + 1 + 2 + 8
+	ackBody     = 1 + 2 + 1 + 4
+	maxErrMsg   = 512
+
+	decFlagRerouted = 1
+	shardNone       = 0xffff
 )
 
 // Structured protocol-error codes carried by MsgError frames.
 const (
 	ErrCodeBadMagic = 1 // peer is not speaking this protocol at all
-	ErrCodeVersion  = 2 // version outside [VersionMin, VersionMax]
+	ErrCodeVersion  = 2 // version other than Version
 	ErrCodeBadFrame = 3 // recognized header but malformed body
 )
 
-// HelloFlagRouter in a HelloAck marks the peer as a fleet router rather
-// than a single-GPU daemon. HelloFlagTracing advertises that the peer
-// understands MsgDecideTraced/MsgDecisionsTraced — a protocol
-// capability, present whether or not the peer currently has a span
-// tracer attached.
-const (
-	HelloFlagRouter  = 1
-	HelloFlagTracing = 2
-)
-
-// Hello is the result of version negotiation: the agreed protocol
-// version, whether the peer is a router, whether it accepts traced
-// frames, (for routers) its shard count, the inference backend the
+// Hello is a peer's hello-ack: the protocol version, whether the peer is
+// a router and (for routers) its shard count, the inference backend the
 // peer serves with, and the lineage generation of the model it is
-// serving. Backend is empty when the peer predates the backend byte (a
-// legacy 4-byte ack body) or chose not to advertise one; Generation is 0
-// when the peer predates the generation word or serves an unversioned
-// offline artifact.
+// serving (0 for an unversioned offline artifact). Every peer at this
+// version accepts traced frames, so a decoded ack always has Tracing set.
 type Hello struct {
 	Version    int
 	Router     bool
@@ -146,32 +133,16 @@ type Hello struct {
 	Generation int
 }
 
-// Backend codes carried in the hello-ack's trailing byte. Zero — also
-// what a legacy peer's absent byte decodes as — means unspecified.
-const (
-	backendCodeNone    = 0
-	backendCodeFloat64 = 1
-	backendCodeInt8    = 2
-)
+// backendKinds indexes the hello-ack backend byte; code 0 is unspecified.
+var backendKinds = [...]infer.Kind{"", infer.KindFloat64, infer.KindInt8}
 
 func backendCode(k infer.Kind) byte {
-	switch k {
-	case infer.KindFloat64:
-		return backendCodeFloat64
-	case infer.KindInt8:
-		return backendCodeInt8
+	for c, kind := range backendKinds {
+		if kind == k {
+			return byte(c)
+		}
 	}
-	return backendCodeNone
-}
-
-func backendFromCode(c byte) infer.Kind {
-	switch c {
-	case backendCodeFloat64:
-		return infer.KindFloat64
-	case backendCodeInt8:
-		return infer.KindInt8
-	}
-	return ""
+	return 0
 }
 
 // HopTimings is the per-hop latency attribution a traced response
@@ -221,7 +192,7 @@ func DurUs32(d time.Duration) uint32 {
 }
 
 // ProtoError is the decoded form of a MsgError frame — the structured
-// refusal a v3 server sends instead of silently dropping the connection.
+// refusal a server sends instead of silently dropping the connection.
 type ProtoError struct {
 	Code int
 	Msg  string
@@ -238,7 +209,7 @@ type Request struct {
 	// Features is the full 47-counter vector of the finished epoch.
 	Features []float64
 	// GPU and Cluster identify the requesting cluster for fleet routing
-	// (v3 keyed frames). -1 means no identity (v2 rows, direct clients).
+	// and per-cluster accounting. GPU < 0 means no identity.
 	GPU     int32
 	Cluster int32
 }
@@ -252,57 +223,56 @@ type Decision struct {
 	Reason provenance.Reason
 	// PredInstr is the Calibrator's next-epoch instruction estimate.
 	PredInstr float64
-	// Shard is the fleet shard index that answered (v3 keyed responses);
-	// -1 when no router was involved or the row was shed locally.
+	// Shard is the fleet shard index that answered; -1 when no router was
+	// involved or the row was shed locally.
 	Shard int
 	// Rerouted marks a row that was re-submitted to a different replica
-	// after its home shard failed (v3 keyed responses only).
+	// after its home shard failed.
 	Rerouted bool
 }
 
-func putHeader(buf []byte, version, msgType byte) {
-	binary.BigEndian.PutUint32(buf, Magic)
-	buf[4] = version
-	buf[5] = msgType
+func putHeader(b []byte, msgType byte) {
+	binary.BigEndian.PutUint32(b, Magic)
+	b[4] = Version
+	b[5] = msgType
 }
 
-// parseHeader validates the magic and version range and returns the
-// frame's version and message type. Errors are *ProtoError so transports
-// can answer them with a structured MsgError frame.
-func parseHeader(payload []byte) (version, msgType byte, err error) {
+// ParseHeader validates a payload's magic and version and returns its
+// message type — the dispatch step any transport speaking this protocol
+// performs first. Errors are *ProtoError, ready to answer with
+// AppendErrorFrame.
+func ParseHeader(payload []byte) (msgType byte, err error) {
 	if len(payload) < headerLen {
-		return 0, 0, &ProtoError{Code: ErrCodeBadFrame, Msg: fmt.Sprintf("frame too short for header (%d bytes)", len(payload))}
+		return 0, &ProtoError{Code: ErrCodeBadFrame, Msg: fmt.Sprintf("frame too short for header (%d bytes)", len(payload))}
 	}
 	if m := binary.BigEndian.Uint32(payload); m != Magic {
-		return 0, 0, &ProtoError{Code: ErrCodeBadMagic, Msg: fmt.Sprintf("bad magic %#x", m)}
+		return 0, &ProtoError{Code: ErrCodeBadMagic, Msg: fmt.Sprintf("bad magic %#x", m)}
 	}
-	if payload[4] < VersionMin || payload[4] > VersionMax {
-		return 0, 0, &ProtoError{Code: ErrCodeVersion, Msg: fmt.Sprintf("unsupported protocol version %d (speak %d..%d)", payload[4], VersionMin, VersionMax)}
+	if payload[4] != Version {
+		return 0, &ProtoError{Code: ErrCodeVersion, Msg: fmt.Sprintf("unsupported protocol version %d (speak %d)", payload[4], Version)}
 	}
-	return payload[4], payload[5], nil
+	return payload[5], nil
 }
 
-func checkHeader(payload []byte, wantVersion, wantType byte) error {
-	v, t, err := parseHeader(payload)
-	if err != nil {
+// checkHeader validates the header and the message type. A MsgError
+// frame in place of the expected type surfaces as its *ProtoError.
+func checkHeader(payload []byte, wantType byte) error {
+	t, err := ParseHeader(payload)
+	if err != nil || t == wantType {
 		return err
 	}
 	if t == MsgError {
-		// Structured refusals surface as *ProtoError whatever version the
-		// caller expected.
-		return DecodeErrorFrame(payload)
+		pe, err := DecodeErrorFrame(payload)
+		if err != nil {
+			return err
+		}
+		return pe
 	}
-	if v != wantVersion {
-		return fmt.Errorf("serve: unexpected protocol version %d, want %d", v, wantVersion)
-	}
-	if t != wantType {
-		return fmt.Errorf("serve: unexpected message type %d, want %d", t, wantType)
-	}
-	return nil
+	return fmt.Errorf("serve: unexpected message type %d, want %d", t, wantType)
 }
 
-// writeFrame writes the length prefix and payload.
-func writeFrame(w io.Writer, payload []byte) error {
+// WriteFrame writes one length-prefixed frame payload.
+func WriteFrame(w io.Writer, payload []byte) error {
 	var n [4]byte
 	binary.BigEndian.PutUint32(n[:], uint32(len(payload)))
 	if _, err := w.Write(n[:]); err != nil {
@@ -312,9 +282,9 @@ func writeFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
-// readFrame reads one frame payload into buf (grown if needed) and
+// ReadFrame reads one frame payload into buf (grown if needed) and
 // returns it. Oversized frames are rejected without allocation.
-func readFrame(r io.Reader, buf []byte) ([]byte, error) {
+func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
 	var n [4]byte
 	if _, err := io.ReadFull(r, n[:]); err != nil {
 		return nil, err
@@ -334,8 +304,9 @@ func readFrame(r io.Reader, buf []byte) ([]byte, error) {
 }
 
 // AppendRequestFrame appends an encoded request payload (without the
-// length prefix) for the given rows to dst and returns it.
-func AppendRequestFrame(dst []byte, rows []Request) ([]byte, error) {
+// length prefix) for rows under trace context tc to dst and returns it.
+// A zero tc sends the rows untraced.
+func AppendRequestFrame(dst []byte, rows []Request, tc telemetry.TraceContext) ([]byte, error) {
 	if len(rows) == 0 || len(rows) > MaxBatch {
 		return nil, fmt.Errorf("serve: batch of %d rows outside [1,%d]", len(rows), MaxBatch)
 	}
@@ -343,361 +314,24 @@ func AppendRequestFrame(dst []byte, rows []Request) ([]byte, error) {
 	if dim != counters.Num {
 		return nil, fmt.Errorf("serve: feature dimension %d, want %d", dim, counters.Num)
 	}
-	need := headerLen + 4 + len(rows)*(1+dim)*8
 	off := len(dst)
-	dst = append(dst, make([]byte, need)...)
+	dst = append(dst, make([]byte, headerLen+reqPrefix+len(rows)*(reqRowFixed+dim*8))...)
 	b := dst[off:]
-	putHeader(b, Version, MsgDecide)
-	binary.BigEndian.PutUint16(b[6:], uint16(len(rows)))
-	binary.BigEndian.PutUint16(b[8:], uint16(dim))
-	p := 10
-	for _, row := range rows {
-		if len(row.Features) != dim {
-			return nil, fmt.Errorf("serve: ragged batch: row has %d features, want %d", len(row.Features), dim)
-		}
-		binary.BigEndian.PutUint64(b[p:], math.Float64bits(row.Preset))
-		p += 8
-		for _, f := range row.Features {
-			binary.BigEndian.PutUint64(b[p:], math.Float64bits(f))
-			p += 8
-		}
-	}
-	return dst, nil
-}
-
-// DecodeRequestFrame parses a request payload. The returned rows reuse
-// scratch (resized as needed) so a serving loop can decode without
-// allocating; feature slices alias scratch's backing arrays.
-func DecodeRequestFrame(payload []byte, scratch []Request) ([]Request, error) {
-	if err := checkHeader(payload, Version, MsgDecide); err != nil {
-		return nil, err
-	}
-	if len(payload) < headerLen+4 {
-		return nil, fmt.Errorf("serve: request frame too short (%d bytes)", len(payload))
-	}
-	count := int(binary.BigEndian.Uint16(payload[6:]))
-	dim := int(binary.BigEndian.Uint16(payload[8:]))
-	if count == 0 || count > MaxBatch {
-		return nil, fmt.Errorf("serve: batch of %d rows outside [1,%d]", count, MaxBatch)
-	}
-	if dim != counters.Num {
-		return nil, fmt.Errorf("serve: feature dimension %d, want %d", dim, counters.Num)
-	}
-	want := headerLen + 4 + count*(1+dim)*8
-	if len(payload) != want {
-		return nil, fmt.Errorf("serve: request frame is %d bytes, want %d for %d rows", len(payload), want, count)
-	}
-	if cap(scratch) < count {
-		scratch = append(scratch[:cap(scratch)], make([]Request, count-cap(scratch))...)
-	}
-	scratch = scratch[:count]
-	p := headerLen + 4
-	for i := range scratch {
-		scratch[i].GPU, scratch[i].Cluster = -1, -1 // v2 rows carry no identity
-		scratch[i].Preset = math.Float64frombits(binary.BigEndian.Uint64(payload[p:]))
-		p += 8
-		if cap(scratch[i].Features) < dim {
-			scratch[i].Features = make([]float64, dim)
-		}
-		feats := scratch[i].Features[:dim]
-		for j := range feats {
-			feats[j] = math.Float64frombits(binary.BigEndian.Uint64(payload[p:]))
-			p += 8
-		}
-		scratch[i].Features = feats
-	}
-	return scratch, nil
-}
-
-// AppendResponseFrame appends an encoded response payload to dst.
-func AppendResponseFrame(dst []byte, status byte, decs []Decision) ([]byte, error) {
-	if len(decs) > MaxBatch {
-		return nil, fmt.Errorf("serve: batch of %d rows exceeds %d", len(decs), MaxBatch)
-	}
-	need := headerLen + 3 + len(decs)*10
-	off := len(dst)
-	dst = append(dst, make([]byte, need)...)
-	b := dst[off:]
-	putHeader(b, Version, MsgDecisions)
-	b[6] = status
-	binary.BigEndian.PutUint16(b[7:], uint16(len(decs)))
-	p := 9
-	for _, d := range decs {
-		if d.Level < 0 || d.Level > 255 {
-			return nil, fmt.Errorf("serve: level %d does not fit the wire format", d.Level)
-		}
-		b[p] = byte(d.Level)
-		b[p+1] = byte(d.Reason)
-		binary.BigEndian.PutUint64(b[p+2:], math.Float64bits(d.PredInstr))
-		p += 10
-	}
-	return dst, nil
-}
-
-// DecodeResponseFrame parses a response payload, reusing scratch.
-func DecodeResponseFrame(payload []byte, scratch []Decision) ([]Decision, error) {
-	if err := checkHeader(payload, Version, MsgDecisions); err != nil {
-		return nil, err
-	}
-	if len(payload) < headerLen+3 {
-		return nil, fmt.Errorf("serve: response frame too short (%d bytes)", len(payload))
-	}
-	if payload[6] != StatusOK {
-		return nil, fmt.Errorf("serve: server reported error status %d", payload[6])
-	}
-	count := int(binary.BigEndian.Uint16(payload[7:]))
-	want := headerLen + 3 + count*10
-	if len(payload) != want {
-		return nil, fmt.Errorf("serve: response frame is %d bytes, want %d for %d rows", len(payload), want, count)
-	}
-	if cap(scratch) < count {
-		scratch = make([]Decision, count)
-	}
-	scratch = scratch[:count]
-	p := headerLen + 3
-	for i := range scratch {
-		scratch[i].Level = int(payload[p])
-		scratch[i].Reason = provenance.Reason(payload[p+1])
-		scratch[i].PredInstr = math.Float64frombits(binary.BigEndian.Uint64(payload[p+2:]))
-		scratch[i].Shard, scratch[i].Rerouted = -1, false // v2 rows carry no shard
-		p += 10
-	}
-	return scratch, nil
-}
-
-// A v3 keyed request frame (MsgDecideKeyed, version 3) carries, after
-// the header,
-//
-//	uint16  row count (>= 1)
-//	uint16  feature dimension (must equal counters.Num)
-//	rows    count × (uint32 gpu, uint32 cluster, (1+dim) float64)
-//
-// and the matching keyed response (MsgDecisionsKeyed),
-//
-//	uint8   status
-//	uint16  row count
-//	rows    count × (uint8 level, uint8 reason, uint8 flags,
-//	                 uint16 shard, float64 predicted instructions)
-//
-// where flags bit 0 marks a rerouted row and shard 0xffff means "no
-// shard" (a daemon answering keyed frames directly, or a local shed).
-const (
-	keyedReqRowFixed = 4 + 4 // gpu + cluster, before the float64s
-	keyedRespRow     = 1 + 1 + 1 + 2 + 8
-	decFlagRerouted  = 1
-	shardNone        = 0xffff
-)
-
-// AppendKeyedRequestFrame appends an encoded v3 keyed request payload to
-// dst. Every row must carry a non-negative GPU and Cluster.
-func AppendKeyedRequestFrame(dst []byte, rows []Request) ([]byte, error) {
-	if len(rows) == 0 || len(rows) > MaxBatch {
-		return nil, fmt.Errorf("serve: batch of %d rows outside [1,%d]", len(rows), MaxBatch)
-	}
-	dim := len(rows[0].Features)
-	if dim != counters.Num {
-		return nil, fmt.Errorf("serve: feature dimension %d, want %d", dim, counters.Num)
-	}
-	need := headerLen + 4 + len(rows)*(keyedReqRowFixed+(1+dim)*8)
-	off := len(dst)
-	dst = append(dst, make([]byte, need)...)
-	b := dst[off:]
-	putHeader(b, Version3, MsgDecideKeyed)
-	binary.BigEndian.PutUint16(b[6:], uint16(len(rows)))
-	binary.BigEndian.PutUint16(b[8:], uint16(dim))
-	p := 10
-	for _, row := range rows {
-		if len(row.Features) != dim {
-			return nil, fmt.Errorf("serve: ragged batch: row has %d features, want %d", len(row.Features), dim)
-		}
-		if row.GPU < 0 || row.Cluster < 0 {
-			return nil, fmt.Errorf("serve: keyed row needs gpu/cluster >= 0, got (%d,%d)", row.GPU, row.Cluster)
-		}
-		binary.BigEndian.PutUint32(b[p:], uint32(row.GPU))
-		binary.BigEndian.PutUint32(b[p+4:], uint32(row.Cluster))
-		p += keyedReqRowFixed
-		binary.BigEndian.PutUint64(b[p:], math.Float64bits(row.Preset))
-		p += 8
-		for _, f := range row.Features {
-			binary.BigEndian.PutUint64(b[p:], math.Float64bits(f))
-			p += 8
-		}
-	}
-	return dst, nil
-}
-
-// DecodeKeyedRequestFrame parses a v3 keyed request payload, reusing
-// scratch like DecodeRequestFrame.
-func DecodeKeyedRequestFrame(payload []byte, scratch []Request) ([]Request, error) {
-	if err := checkHeader(payload, Version3, MsgDecideKeyed); err != nil {
-		return nil, err
-	}
-	if len(payload) < headerLen+4 {
-		return nil, fmt.Errorf("serve: keyed request frame too short (%d bytes)", len(payload))
-	}
-	count := int(binary.BigEndian.Uint16(payload[6:]))
-	dim := int(binary.BigEndian.Uint16(payload[8:]))
-	if count == 0 || count > MaxBatch {
-		return nil, fmt.Errorf("serve: batch of %d rows outside [1,%d]", count, MaxBatch)
-	}
-	if dim != counters.Num {
-		return nil, fmt.Errorf("serve: feature dimension %d, want %d", dim, counters.Num)
-	}
-	want := headerLen + 4 + count*(keyedReqRowFixed+(1+dim)*8)
-	if len(payload) != want {
-		return nil, fmt.Errorf("serve: keyed request frame is %d bytes, want %d for %d rows", len(payload), want, count)
-	}
-	if cap(scratch) < count {
-		scratch = append(scratch[:cap(scratch)], make([]Request, count-cap(scratch))...)
-	}
-	scratch = scratch[:count]
-	p := headerLen + 4
-	for i := range scratch {
-		scratch[i].GPU = int32(binary.BigEndian.Uint32(payload[p:]))
-		scratch[i].Cluster = int32(binary.BigEndian.Uint32(payload[p+4:]))
-		p += keyedReqRowFixed
-		scratch[i].Preset = math.Float64frombits(binary.BigEndian.Uint64(payload[p:]))
-		p += 8
-		if cap(scratch[i].Features) < dim {
-			scratch[i].Features = make([]float64, dim)
-		}
-		feats := scratch[i].Features[:dim]
-		for j := range feats {
-			feats[j] = math.Float64frombits(binary.BigEndian.Uint64(payload[p:]))
-			p += 8
-		}
-		scratch[i].Features = feats
-	}
-	return scratch, nil
-}
-
-// AppendKeyedResponseFrame appends an encoded v3 keyed response payload
-// to dst, carrying each decision's shard and rerouted flag.
-func AppendKeyedResponseFrame(dst []byte, status byte, decs []Decision) ([]byte, error) {
-	if len(decs) > MaxBatch {
-		return nil, fmt.Errorf("serve: batch of %d rows exceeds %d", len(decs), MaxBatch)
-	}
-	need := headerLen + 3 + len(decs)*keyedRespRow
-	off := len(dst)
-	dst = append(dst, make([]byte, need)...)
-	b := dst[off:]
-	putHeader(b, Version3, MsgDecisionsKeyed)
-	b[6] = status
-	binary.BigEndian.PutUint16(b[7:], uint16(len(decs)))
-	p := 9
-	for _, d := range decs {
-		if d.Level < 0 || d.Level > 255 {
-			return nil, fmt.Errorf("serve: level %d does not fit the wire format", d.Level)
-		}
-		b[p] = byte(d.Level)
-		b[p+1] = byte(d.Reason)
-		var flags byte
-		if d.Rerouted {
-			flags |= decFlagRerouted
-		}
-		b[p+2] = flags
-		shard := uint16(shardNone)
-		if d.Shard >= 0 && d.Shard < shardNone {
-			shard = uint16(d.Shard)
-		}
-		binary.BigEndian.PutUint16(b[p+3:], shard)
-		binary.BigEndian.PutUint64(b[p+5:], math.Float64bits(d.PredInstr))
-		p += keyedRespRow
-	}
-	return dst, nil
-}
-
-// DecodeKeyedResponseFrame parses a v3 keyed response payload, reusing
-// scratch. A MsgError frame decodes into a *ProtoError.
-func DecodeKeyedResponseFrame(payload []byte, scratch []Decision) ([]Decision, error) {
-	if err := checkHeader(payload, Version3, MsgDecisionsKeyed); err != nil {
-		return nil, err
-	}
-	if len(payload) < headerLen+3 {
-		return nil, fmt.Errorf("serve: keyed response frame too short (%d bytes)", len(payload))
-	}
-	if payload[6] != StatusOK {
-		return nil, fmt.Errorf("serve: server reported error status %d", payload[6])
-	}
-	count := int(binary.BigEndian.Uint16(payload[7:]))
-	want := headerLen + 3 + count*keyedRespRow
-	if len(payload) != want {
-		return nil, fmt.Errorf("serve: keyed response frame is %d bytes, want %d for %d rows", len(payload), want, count)
-	}
-	if cap(scratch) < count {
-		scratch = make([]Decision, count)
-	}
-	scratch = scratch[:count]
-	p := headerLen + 3
-	for i := range scratch {
-		scratch[i].Level = int(payload[p])
-		scratch[i].Reason = provenance.Reason(payload[p+1])
-		scratch[i].Rerouted = payload[p+2]&decFlagRerouted != 0
-		if s := binary.BigEndian.Uint16(payload[p+3:]); s == shardNone {
-			scratch[i].Shard = -1
-		} else {
-			scratch[i].Shard = int(s)
-		}
-		scratch[i].PredInstr = math.Float64frombits(binary.BigEndian.Uint64(payload[p+5:]))
-		p += keyedRespRow
-	}
-	return scratch, nil
-}
-
-// A v3 traced request frame (MsgDecideTraced, version 3) is a keyed
-// request with distributed-trace context between header and body,
-//
-//	uint64  trace ID
-//	uint64  parent span ID
-//	uint8   trace flags (telemetry.FlagSampled)
-//	uint16  row count, uint16 dim, keyed rows (as MsgDecideKeyed)
-//
-// and the matching traced response (MsgDecisionsTraced) prepends the
-// echoed trace ID and per-hop attribution to the keyed response body:
-//
-//	uint8   status
-//	uint64  trace ID (echo)
-//	uint32  queue µs, uint32 coalesce µs, uint32 dispatch µs, uint32 infer µs
-//	uint16  row count, keyed rows (as MsgDecisionsKeyed)
-const (
-	tracedReqPrefix  = 8 + 8 + 1
-	tracedRespPrefix = 8 + 4*4
-)
-
-// AppendTracedRequestFrame appends a v3 traced keyed request carrying tc
-// across the process boundary.
-func AppendTracedRequestFrame(dst []byte, rows []Request, tc telemetry.TraceContext) ([]byte, error) {
-	if len(rows) == 0 || len(rows) > MaxBatch {
-		return nil, fmt.Errorf("serve: batch of %d rows outside [1,%d]", len(rows), MaxBatch)
-	}
-	dim := len(rows[0].Features)
-	if dim != counters.Num {
-		return nil, fmt.Errorf("serve: feature dimension %d, want %d", dim, counters.Num)
-	}
-	need := headerLen + tracedReqPrefix + 4 + len(rows)*(keyedReqRowFixed+(1+dim)*8)
-	off := len(dst)
-	dst = append(dst, make([]byte, need)...)
-	b := dst[off:]
-	putHeader(b, Version3, MsgDecideTraced)
+	putHeader(b, MsgDecide)
 	binary.BigEndian.PutUint64(b[6:], tc.TraceID)
 	binary.BigEndian.PutUint64(b[14:], tc.SpanID)
 	b[22] = tc.Flags
-	p := headerLen + tracedReqPrefix
-	binary.BigEndian.PutUint16(b[p:], uint16(len(rows)))
-	binary.BigEndian.PutUint16(b[p+2:], uint16(dim))
-	p += 4
+	binary.BigEndian.PutUint16(b[23:], uint16(len(rows)))
+	binary.BigEndian.PutUint16(b[25:], uint16(dim))
+	p := headerLen + reqPrefix
 	for _, row := range rows {
 		if len(row.Features) != dim {
 			return nil, fmt.Errorf("serve: ragged batch: row has %d features, want %d", len(row.Features), dim)
 		}
-		if row.GPU < 0 || row.Cluster < 0 {
-			return nil, fmt.Errorf("serve: keyed row needs gpu/cluster >= 0, got (%d,%d)", row.GPU, row.Cluster)
-		}
 		binary.BigEndian.PutUint32(b[p:], uint32(row.GPU))
 		binary.BigEndian.PutUint32(b[p+4:], uint32(row.Cluster))
-		p += keyedReqRowFixed
-		binary.BigEndian.PutUint64(b[p:], math.Float64bits(row.Preset))
-		p += 8
+		binary.BigEndian.PutUint64(b[p+8:], math.Float64bits(row.Preset))
+		p += reqRowFixed
 		for _, f := range row.Features {
 			binary.BigEndian.PutUint64(b[p:], math.Float64bits(f))
 			p += 8
@@ -706,294 +340,233 @@ func AppendTracedRequestFrame(dst []byte, rows []Request, tc telemetry.TraceCont
 	return dst, nil
 }
 
-// DecodeTracedRequestFrame parses a v3 traced keyed request, reusing
-// scratch, and returns the carried trace context.
-func DecodeTracedRequestFrame(payload []byte, scratch []Request) ([]Request, telemetry.TraceContext, error) {
-	var tc telemetry.TraceContext
-	if err := checkHeader(payload, Version3, MsgDecideTraced); err != nil {
-		return nil, tc, err
+// DecodeRequestFrame parses a request payload into its rows and trace
+// context. The rows reuse scratch (resized as needed) so a serving loop
+// can decode without allocating; feature slices alias scratch's backing
+// arrays.
+func DecodeRequestFrame(payload []byte, scratch []Request) ([]Request, telemetry.TraceContext, error) {
+	if err := checkHeader(payload, MsgDecide); err != nil {
+		return nil, telemetry.TraceContext{}, err
 	}
-	if len(payload) < headerLen+tracedReqPrefix+4 {
-		return nil, tc, fmt.Errorf("serve: traced request frame too short (%d bytes)", len(payload))
+	if len(payload) < headerLen+reqPrefix {
+		return nil, telemetry.TraceContext{}, fmt.Errorf("serve: request frame too short (%d bytes)", len(payload))
 	}
-	tc.TraceID = binary.BigEndian.Uint64(payload[6:])
-	tc.SpanID = binary.BigEndian.Uint64(payload[14:])
-	tc.Flags = payload[22]
-	p := headerLen + tracedReqPrefix
-	count := int(binary.BigEndian.Uint16(payload[p:]))
-	dim := int(binary.BigEndian.Uint16(payload[p+2:]))
+	count := int(binary.BigEndian.Uint16(payload[23:]))
+	dim := int(binary.BigEndian.Uint16(payload[25:]))
 	if count == 0 || count > MaxBatch {
-		return nil, tc, fmt.Errorf("serve: batch of %d rows outside [1,%d]", count, MaxBatch)
+		return nil, telemetry.TraceContext{}, fmt.Errorf("serve: batch of %d rows outside [1,%d]", count, MaxBatch)
 	}
 	if dim != counters.Num {
-		return nil, tc, fmt.Errorf("serve: feature dimension %d, want %d", dim, counters.Num)
+		return nil, telemetry.TraceContext{}, fmt.Errorf("serve: feature dimension %d, want %d", dim, counters.Num)
 	}
-	want := headerLen + tracedReqPrefix + 4 + count*(keyedReqRowFixed+(1+dim)*8)
-	if len(payload) != want {
-		return nil, tc, fmt.Errorf("serve: traced request frame is %d bytes, want %d for %d rows", len(payload), want, count)
+	if want := headerLen + reqPrefix + count*(reqRowFixed+dim*8); len(payload) != want {
+		return nil, telemetry.TraceContext{}, fmt.Errorf("serve: request frame is %d bytes, want %d for %d rows", len(payload), want, count)
+	}
+	tc := telemetry.TraceContext{
+		TraceID: binary.BigEndian.Uint64(payload[6:]),
+		SpanID:  binary.BigEndian.Uint64(payload[14:]),
+		Flags:   payload[22],
 	}
 	if cap(scratch) < count {
 		scratch = append(scratch[:cap(scratch)], make([]Request, count-cap(scratch))...)
 	}
 	scratch = scratch[:count]
-	p += 4
+	p := headerLen + reqPrefix
 	for i := range scratch {
-		scratch[i].GPU = int32(binary.BigEndian.Uint32(payload[p:]))
-		scratch[i].Cluster = int32(binary.BigEndian.Uint32(payload[p+4:]))
-		p += keyedReqRowFixed
-		scratch[i].Preset = math.Float64frombits(binary.BigEndian.Uint64(payload[p:]))
-		p += 8
-		if cap(scratch[i].Features) < dim {
-			scratch[i].Features = make([]float64, dim)
+		r := &scratch[i]
+		r.GPU = int32(binary.BigEndian.Uint32(payload[p:]))
+		r.Cluster = int32(binary.BigEndian.Uint32(payload[p+4:]))
+		r.Preset = math.Float64frombits(binary.BigEndian.Uint64(payload[p+8:]))
+		p += reqRowFixed
+		if cap(r.Features) < dim {
+			r.Features = make([]float64, dim)
 		}
-		feats := scratch[i].Features[:dim]
-		for j := range feats {
-			feats[j] = math.Float64frombits(binary.BigEndian.Uint64(payload[p:]))
+		r.Features = r.Features[:dim]
+		for j := range r.Features {
+			r.Features[j] = math.Float64frombits(binary.BigEndian.Uint64(payload[p:]))
 			p += 8
 		}
-		scratch[i].Features = feats
 	}
 	return scratch, tc, nil
 }
 
-// AppendTracedResponseFrame appends a v3 traced keyed response echoing
-// the trace ID and carrying this hop's latency attribution.
-func AppendTracedResponseFrame(dst []byte, status byte, decs []Decision, traceID uint64, hops HopTimings) ([]byte, error) {
+// AppendResponseFrame appends an encoded response payload to dst: the
+// decisions, the echoed trace ID and this hop's latency attribution.
+// Shards outside [0, 0xffff) encode as "none".
+func AppendResponseFrame(dst []byte, decs []Decision, traceID uint64, hops HopTimings) ([]byte, error) {
 	if len(decs) > MaxBatch {
 		return nil, fmt.Errorf("serve: batch of %d rows exceeds %d", len(decs), MaxBatch)
 	}
-	need := headerLen + 1 + tracedRespPrefix + 2 + len(decs)*keyedRespRow
 	off := len(dst)
-	dst = append(dst, make([]byte, need)...)
+	dst = append(dst, make([]byte, headerLen+respPrefix+len(decs)*respRow)...)
 	b := dst[off:]
-	putHeader(b, Version3, MsgDecisionsTraced)
-	b[6] = status
+	putHeader(b, MsgDecisions)
+	b[6] = StatusOK
 	binary.BigEndian.PutUint64(b[7:], traceID)
 	binary.BigEndian.PutUint32(b[15:], hops.QueueUs)
 	binary.BigEndian.PutUint32(b[19:], hops.CoalesceUs)
 	binary.BigEndian.PutUint32(b[23:], hops.DispatchUs)
 	binary.BigEndian.PutUint32(b[27:], hops.InferUs)
-	p := headerLen + 1 + tracedRespPrefix
-	binary.BigEndian.PutUint16(b[p:], uint16(len(decs)))
-	p += 2
+	binary.BigEndian.PutUint16(b[31:], uint16(len(decs)))
+	p := headerLen + respPrefix
 	for _, d := range decs {
 		if d.Level < 0 || d.Level > 255 {
 			return nil, fmt.Errorf("serve: level %d does not fit the wire format", d.Level)
 		}
 		b[p] = byte(d.Level)
 		b[p+1] = byte(d.Reason)
-		var flags byte
 		if d.Rerouted {
-			flags |= decFlagRerouted
+			b[p+2] = decFlagRerouted
 		}
-		b[p+2] = flags
 		shard := uint16(shardNone)
 		if d.Shard >= 0 && d.Shard < shardNone {
 			shard = uint16(d.Shard)
 		}
 		binary.BigEndian.PutUint16(b[p+3:], shard)
 		binary.BigEndian.PutUint64(b[p+5:], math.Float64bits(d.PredInstr))
-		p += keyedRespRow
+		p += respRow
 	}
 	return dst, nil
 }
 
-// DecodeTracedResponseFrame parses a v3 traced keyed response, reusing
-// scratch, and returns the hop attribution alongside the decisions.
-func DecodeTracedResponseFrame(payload []byte, scratch []Decision) ([]Decision, HopTimings, error) {
-	var hops HopTimings
-	if err := checkHeader(payload, Version3, MsgDecisionsTraced); err != nil {
-		return nil, hops, err
+// DecodeResponseFrame parses a response payload into its decisions
+// (reusing scratch), the echoed trace ID and the hop attribution. A
+// MsgError frame decodes into a *ProtoError.
+func DecodeResponseFrame(payload []byte, scratch []Decision) ([]Decision, uint64, HopTimings, error) {
+	if err := checkHeader(payload, MsgDecisions); err != nil {
+		return nil, 0, HopTimings{}, err
 	}
-	if len(payload) < headerLen+1+tracedRespPrefix+2 {
-		return nil, hops, fmt.Errorf("serve: traced response frame too short (%d bytes)", len(payload))
+	if len(payload) < headerLen+respPrefix {
+		return nil, 0, HopTimings{}, fmt.Errorf("serve: response frame too short (%d bytes)", len(payload))
 	}
 	if payload[6] != StatusOK {
-		return nil, hops, fmt.Errorf("serve: server reported error status %d", payload[6])
+		return nil, 0, HopTimings{}, fmt.Errorf("serve: server reported error status %d", payload[6])
 	}
-	hops.QueueUs = binary.BigEndian.Uint32(payload[15:])
-	hops.CoalesceUs = binary.BigEndian.Uint32(payload[19:])
-	hops.DispatchUs = binary.BigEndian.Uint32(payload[23:])
-	hops.InferUs = binary.BigEndian.Uint32(payload[27:])
-	p := headerLen + 1 + tracedRespPrefix
-	count := int(binary.BigEndian.Uint16(payload[p:]))
-	want := headerLen + 1 + tracedRespPrefix + 2 + count*keyedRespRow
-	if len(payload) != want {
-		return nil, hops, fmt.Errorf("serve: traced response frame is %d bytes, want %d for %d rows", len(payload), want, count)
+	count := int(binary.BigEndian.Uint16(payload[31:]))
+	if want := headerLen + respPrefix + count*respRow; len(payload) != want {
+		return nil, 0, HopTimings{}, fmt.Errorf("serve: response frame is %d bytes, want %d for %d rows", len(payload), want, count)
 	}
 	if cap(scratch) < count {
 		scratch = make([]Decision, count)
 	}
 	scratch = scratch[:count]
-	p += 2
+	p := headerLen + respPrefix
 	for i := range scratch {
-		scratch[i].Level = int(payload[p])
-		scratch[i].Reason = provenance.Reason(payload[p+1])
-		scratch[i].Rerouted = payload[p+2]&decFlagRerouted != 0
-		if s := binary.BigEndian.Uint16(payload[p+3:]); s == shardNone {
-			scratch[i].Shard = -1
-		} else {
-			scratch[i].Shard = int(s)
+		flags := payload[p+2]
+		if flags&^decFlagRerouted != 0 {
+			return nil, 0, HopTimings{}, fmt.Errorf("serve: row %d sets reserved flags %#x", i, flags)
 		}
-		scratch[i].PredInstr = math.Float64frombits(binary.BigEndian.Uint64(payload[p+5:]))
-		p += keyedRespRow
+		shard := int(binary.BigEndian.Uint16(payload[p+3:]))
+		if shard == shardNone {
+			shard = -1
+		}
+		scratch[i] = Decision{
+			Level:     int(payload[p]),
+			Reason:    provenance.Reason(payload[p+1]),
+			PredInstr: math.Float64frombits(binary.BigEndian.Uint64(payload[p+5:])),
+			Shard:     shard,
+			Rerouted:  flags != 0,
+		}
+		p += respRow
 	}
-	return scratch, hops, nil
+	hops := HopTimings{
+		QueueUs:    binary.BigEndian.Uint32(payload[15:]),
+		CoalesceUs: binary.BigEndian.Uint32(payload[19:]),
+		DispatchUs: binary.BigEndian.Uint32(payload[23:]),
+		InferUs:    binary.BigEndian.Uint32(payload[27:]),
+	}
+	return scratch, binary.BigEndian.Uint64(payload[7:]), hops, nil
 }
 
-// TracedResponseTraceID peeks the echoed trace ID of a traced response
-// payload without decoding the rows.
-func TracedResponseTraceID(payload []byte) uint64 {
-	if len(payload) < headerLen+1+tracedRespPrefix {
-		return 0
-	}
-	return binary.BigEndian.Uint64(payload[7:])
-}
-
-// AppendHelloFrame appends a client hello offering the [min,max] version
-// range.
-func AppendHelloFrame(dst []byte, minVer, maxVer byte) []byte {
+// AppendHelloFrame appends a client hello offering this Version.
+func AppendHelloFrame(dst []byte) []byte {
 	off := len(dst)
-	dst = append(dst, make([]byte, headerLen+2)...)
-	b := dst[off:]
-	putHeader(b, VersionMax, MsgHello)
-	b[6], b[7] = minVer, maxVer
+	dst = append(dst, make([]byte, headerLen)...)
+	putHeader(dst[off:], MsgHello)
 	return dst
 }
 
-// DecodeHelloFrame parses a client hello into its offered version range.
-func DecodeHelloFrame(payload []byte) (minVer, maxVer byte, err error) {
-	if _, t, err := parseHeader(payload); err != nil {
-		return 0, 0, err
-	} else if t != MsgHello {
-		return 0, 0, fmt.Errorf("serve: unexpected message type %d, want %d", t, MsgHello)
+// DecodeHelloFrame validates a client hello. A hello offering any other
+// version fails with an ErrCodeVersion *ProtoError.
+func DecodeHelloFrame(payload []byte) error {
+	if err := checkHeader(payload, MsgHello); err != nil {
+		return err
 	}
-	if len(payload) != headerLen+2 {
-		return 0, 0, fmt.Errorf("serve: hello frame is %d bytes, want %d", len(payload), headerLen+2)
+	if len(payload) != headerLen {
+		return fmt.Errorf("serve: hello frame is %d bytes, want %d", len(payload), headerLen)
 	}
-	return payload[6], payload[7], nil
+	return nil
 }
 
-// AppendHelloAckFrame appends the server's negotiation answer. The body
-// has grown twice, always by appending: byte 10 advertises the serving
-// backend, bytes 11-14 the serving model's lineage generation. Peers
-// that predate an extension parse only the prefix they know, so every
-// body length remains compatible in both directions.
+// AppendHelloAckFrame appends the server's answer to a hello.
 func AppendHelloAckFrame(dst []byte, h Hello) []byte {
 	off := len(dst)
-	dst = append(dst, make([]byte, headerLen+9)...)
+	dst = append(dst, make([]byte, headerLen+ackBody)...)
 	b := dst[off:]
-	putHeader(b, VersionMax, MsgHelloAck)
-	b[6] = byte(h.Version)
+	putHeader(b, MsgHelloAck)
 	if h.Router {
-		b[7] |= HelloFlagRouter
+		b[6] = HelloFlagRouter
 	}
-	if h.Tracing {
-		b[7] |= HelloFlagTracing
-	}
-	binary.BigEndian.PutUint16(b[8:], uint16(h.Shards))
-	b[10] = backendCode(h.Backend)
-	binary.BigEndian.PutUint32(b[11:], uint32(h.Generation))
+	binary.BigEndian.PutUint16(b[7:], uint16(h.Shards))
+	b[9] = backendCode(h.Backend)
+	binary.BigEndian.PutUint32(b[10:], uint32(h.Generation))
 	return dst
 }
 
 // DecodeHelloAckFrame parses a server hello-ack. A MsgError frame decodes
-// into a *ProtoError, so a refused negotiation surfaces as a typed error.
+// into a *ProtoError, so a refused hello surfaces as a typed error.
 func DecodeHelloAckFrame(payload []byte) (Hello, error) {
-	_, t, err := parseHeader(payload)
-	if err != nil {
+	if err := checkHeader(payload, MsgHelloAck); err != nil {
 		return Hello{}, err
 	}
-	if t == MsgError {
-		return Hello{}, DecodeErrorFrame(payload)
+	if len(payload) != headerLen+ackBody {
+		return Hello{}, fmt.Errorf("serve: hello-ack frame is %d bytes, want %d", len(payload), headerLen+ackBody)
 	}
-	if t != MsgHelloAck {
-		return Hello{}, fmt.Errorf("serve: unexpected message type %d, want %d", t, MsgHelloAck)
+	if payload[6]&^HelloFlagRouter != 0 {
+		return Hello{}, fmt.Errorf("serve: hello-ack sets reserved flags %#x", payload[6])
 	}
-	// headerLen+4 is the legacy body (no backend byte), headerLen+5 adds
-	// the backend advertisement, headerLen+9 the model generation. All
-	// stay accepted so old and new peers interoperate in either direction.
-	switch len(payload) {
-	case headerLen + 4, headerLen + 5, headerLen + 9:
-	default:
-		return Hello{}, fmt.Errorf("serve: hello-ack frame is %d bytes, want %d, %d or %d",
-			len(payload), headerLen+4, headerLen+5, headerLen+9)
+	if int(payload[9]) >= len(backendKinds) {
+		return Hello{}, fmt.Errorf("serve: hello-ack names unknown backend code %d", payload[9])
 	}
-	h := Hello{
-		Version: int(payload[6]),
-		Router:  payload[7]&HelloFlagRouter != 0,
-		Tracing: payload[7]&HelloFlagTracing != 0,
-		Shards:  int(binary.BigEndian.Uint16(payload[8:])),
-	}
-	if len(payload) >= headerLen+5 {
-		h.Backend = backendFromCode(payload[10])
-	}
-	if len(payload) == headerLen+9 {
-		h.Generation = int(binary.BigEndian.Uint32(payload[11:]))
-	}
-	return h, nil
+	return Hello{
+		Version:    Version,
+		Router:     payload[6] != 0,
+		Tracing:    true,
+		Shards:     int(binary.BigEndian.Uint16(payload[7:])),
+		Backend:    backendKinds[payload[9]],
+		Generation: int(binary.BigEndian.Uint32(payload[10:])),
+	}, nil
 }
 
-// AppendErrorFrame appends a structured protocol-error frame.
+// AppendErrorFrame appends a structured protocol-error frame; messages
+// longer than 512 bytes are truncated.
 func AppendErrorFrame(dst []byte, code int, msg string) []byte {
-	if len(msg) > 512 {
-		msg = msg[:512]
+	if len(msg) > maxErrMsg {
+		msg = msg[:maxErrMsg]
 	}
 	off := len(dst)
 	dst = append(dst, make([]byte, headerLen+4+len(msg))...)
 	b := dst[off:]
-	putHeader(b, VersionMax, MsgError)
+	putHeader(b, MsgError)
 	binary.BigEndian.PutUint16(b[6:], uint16(code))
 	binary.BigEndian.PutUint16(b[8:], uint16(len(msg)))
 	copy(b[10:], msg)
 	return dst
 }
 
-// DecodeErrorFrame parses a MsgError payload into a *ProtoError.
-func DecodeErrorFrame(payload []byte) error {
-	if len(payload) < headerLen+4 {
-		return fmt.Errorf("serve: error frame too short (%d bytes)", len(payload))
-	}
-	code := int(binary.BigEndian.Uint16(payload[6:]))
-	n := int(binary.BigEndian.Uint16(payload[8:]))
-	if headerLen+4+n > len(payload) {
-		n = len(payload) - headerLen - 4
-	}
-	return &ProtoError{Code: code, Msg: string(payload[10 : 10+n])}
-}
-
-// ReadFrame and WriteFrame expose the raw frame transport for other
-// packages that speak this protocol (the fleet router's front-end).
-func ReadFrame(r io.Reader, buf []byte) ([]byte, error) { return readFrame(r, buf) }
-
-// WriteFrame writes one length-prefixed frame payload.
-func WriteFrame(w io.Writer, payload []byte) error { return writeFrame(w, payload) }
-
-// ParseHeader validates a payload's magic and version range and returns
-// its version and message type — the dispatch step any transport speaking
-// this protocol performs first. Errors are *ProtoError, ready to answer
-// with AppendErrorFrame.
-func ParseHeader(payload []byte) (version, msgType byte, err error) {
-	return parseHeader(payload)
-}
-
-// WriteRequest encodes rows as one frame on w.
-func WriteRequest(w *bufio.Writer, rows []Request) error {
-	payload, err := AppendRequestFrame(nil, rows)
-	if err != nil {
-		return err
-	}
-	if err := writeFrame(w, payload); err != nil {
-		return err
-	}
-	return w.Flush()
-}
-
-// ReadResponse reads one response frame from r.
-func ReadResponse(r io.Reader) ([]Decision, error) {
-	payload, err := readFrame(r, nil)
-	if err != nil {
+// DecodeErrorFrame parses a MsgError payload into the refusal it
+// carries. The error result reports a payload that is not a well-formed
+// error frame.
+func DecodeErrorFrame(payload []byte) (*ProtoError, error) {
+	if err := checkHeader(payload, MsgError); err != nil {
 		return nil, err
 	}
-	return DecodeResponseFrame(payload, nil)
+	if len(payload) < headerLen+4 {
+		return nil, fmt.Errorf("serve: error frame too short (%d bytes)", len(payload))
+	}
+	n := int(binary.BigEndian.Uint16(payload[8:]))
+	if n > maxErrMsg || len(payload) != headerLen+4+n {
+		return nil, fmt.Errorf("serve: error frame is %d bytes with a %d-byte message", len(payload), n)
+	}
+	return &ProtoError{Code: int(binary.BigEndian.Uint16(payload[6:])), Msg: string(payload[10:])}, nil
 }
