@@ -10,7 +10,7 @@
 //
 //	dvfsfleet -replicas host1:8091,host2:8091,host3:8091
 //	          [-tcp :8092] [-http :8093] [-vnodes 128] [-seed 1]
-//	          [-backend int8] [-coalesce-wait 200us] [-coalesce-rows 64]
+//	          [-coalesce-wait 200us] [-coalesce-rows 64]
 //	          [-inflight 2] [-queue 1024] [-queue-deadline 2ms]
 //	          [-max-hops 1] [-probe 250ms] [-spans fleet-spans.jsonl]
 //	          [-replica-http http://host1:8090,http://host2:8090,...]
@@ -23,11 +23,6 @@
 // replica ledgers), and serves the fleet view at /debug/ledger plus
 // ledger_fleet_*/alert_* series on /metrics.prom — what cmd/dvfstop
 // renders live.
-//
-// -backend pins the inference backend every replica must advertise in
-// hello negotiation (match the replicas' ssmdvfsd -backend flag); a
-// replica answering with different numerics is taken out of the ring
-// rather than mixed into the fleet. Empty accepts any replica.
 //
 // Clients speak the same binary protocol as to a single daemon: keyed
 // rows shard per row and learn which shard answered; rows without an
@@ -67,7 +62,6 @@ func main() {
 		httpAddr     = flag.String("http", ":8093", "metrics/health HTTP listen address (empty disables)")
 		vnodes       = flag.Int("vnodes", 0, "virtual nodes per replica on the ring (0 = default)")
 		seed         = flag.Uint64("seed", 1, "ring hash seed (same seed + replica set = same sharding)")
-		backend      = flag.String("backend", "", "inference backend replicas must advertise: float64 or int8 (empty = any)")
 		wait         = flag.Duration("coalesce-wait", 0, "max linger before a non-full batch ships (0 = default 200us)")
 		rows         = flag.Int("coalesce-rows", 0, "max rows per coalesced frame (0 = default 64)")
 		inflight     = flag.Int("inflight", 0, "coalesced batches in flight per replica (0 = default 2)")
@@ -117,7 +111,6 @@ func main() {
 		Replicas:      splitAddrs(*replicas),
 		VNodes:        *vnodes,
 		Seed:          *seed,
-		ExpectBackend: *backend,
 		CoalesceWait:  *wait,
 		CoalesceRows:  *rows,
 		MaxInFlight:   *inflight,

@@ -356,7 +356,7 @@ func (c *Controller) stepShadow() {
 
 	incumbent := c.e.Model()
 	if err := c.e.Swap(c.candidate); err != nil {
-		// The validated hot-swap gate said no (backend parity, shape, a
+		// The validated hot-swap gate said no (shape, non-finite weights, a
 		// concurrently injected swap fault): the candidate does not serve.
 		c.rejectLocked(fmt.Sprintf("swap rejected: %v", err), res)
 		return

@@ -7,84 +7,41 @@ import (
 	"ssmdvfs/internal/infer"
 )
 
-// Parity gate for quantized backends, applied once at build time: the
-// int8 decision head must agree with float64 argmax on all but a small
-// fraction of synthetic standardized rows, and the int8 calibrator's
-// worst relative output error must stay bounded. The synthetic gate is
-// deliberately looser than the ≤0.5% oracle-dataset bound the serving
-// tier is held to — standard-normal rows land closer to decision
-// boundaries than real standardized traffic does — while still rejecting
-// artifacts whose quantization genuinely went wrong.
-const (
-	parityRows        = 2048
-	paritySeed        = 17
-	maxDecisionFlips  = 0.02
-	maxCalibratorRelE = 0.15
-)
-
-// modelBackends is the built inference-backend pair for one model. It is
+// modelBackends is the built inference-kernel pair for one model. It is
 // immutable after construction and shared by every Inference context
 // bound to the model.
 type modelBackends struct {
-	kind       infer.Kind
-	decision   infer.Backend
-	calibrator infer.Backend
+	decision   *infer.Kernel
+	calibrator *infer.Kernel
 }
 
-// backendMu guards lazy backend construction on every Model. Builds are
+// backendMu guards lazy kernel construction on every Model. Builds are
 // rare (model load / hot swap); the per-decision path never takes it —
 // Inference.Bind short-circuits when the bound model is unchanged.
 var backendMu sync.Mutex
 
-// EnsureBackends builds and memoizes the inference backends for the
-// model's declared Backend kind, validating int8 parity against the
-// float64 reference. Serving paths call it before publishing a model
-// (load, hot swap), so a corrupt or badly-quantizing artifact is
-// rejected with a structured error instead of serving garbage.
+// EnsureBackends builds and memoizes the model's inference kernels.
+// Serving paths call it before publishing a model (load, hot swap), so
+// the decision path never builds one mid-batch.
 func (m *Model) EnsureBackends() error {
 	_, err := m.backends()
 	return err
 }
 
-// BackendKind returns the resolved backend kind the model serves with
-// (the declared kind, with "" resolving to float64).
-func (m *Model) BackendKind() infer.Kind {
-	if m.Backend == "" {
-		return infer.KindFloat64
-	}
-	return m.Backend
-}
-
 func (m *Model) backends() (*modelBackends, error) {
 	backendMu.Lock()
 	defer backendMu.Unlock()
-	kind, err := infer.ParseKind(string(m.Backend))
-	if err != nil {
-		return nil, err
-	}
-	if m.bk != nil && m.bk.kind == kind {
+	if m.bk != nil {
 		return m.bk, nil
 	}
-	d, err := infer.New(m.Decision, kind)
+	d, err := infer.New(m.Decision, infer.KindFloat64)
 	if err != nil {
 		return nil, fmt.Errorf("core: decision head: %w", err)
 	}
-	c, err := infer.New(m.Calibrator, kind)
+	c, err := infer.New(m.Calibrator, infer.KindFloat64)
 	if err != nil {
 		return nil, fmt.Errorf("core: calibrator head: %w", err)
 	}
-	if kind != infer.KindFloat64 {
-		if rep := infer.CheckParity(m.Decision, d, parityRows, paritySeed); rep.FlipRate > maxDecisionFlips {
-			return nil, &infer.Error{Kind: kind, Stage: "parity", Layer: -1,
-				Err: fmt.Errorf("decision head flips argmax on %d/%d synthetic rows (%.2f%%), limit %.2f%%",
-					rep.Flips, rep.Rows, 100*rep.FlipRate, 100*maxDecisionFlips)}
-		}
-		if rep := infer.CheckParity(m.Calibrator, c, parityRows, paritySeed+1); rep.MaxRelErr > maxCalibratorRelE {
-			return nil, &infer.Error{Kind: kind, Stage: "parity", Layer: -1,
-				Err: fmt.Errorf("calibrator max relative error %.4f over %d synthetic rows, limit %.2f",
-					rep.MaxRelErr, rep.Rows, maxCalibratorRelE)}
-		}
-	}
-	m.bk = &modelBackends{kind: kind, decision: d, calibrator: c}
+	m.bk = &modelBackends{decision: d, calibrator: c}
 	return m.bk, nil
 }

@@ -5,56 +5,47 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"ssmdvfs/internal/infer"
 )
 
 // TestDecideBatchMatchesRowAtATime pins the batched decision path to
-// per-row Decide, bit for bit, for both backend kinds and across batch
-// sizes that hit the tile body and the remainder loop.
+// per-row Decide, bit for bit, across batch sizes that hit the tile body
+// and the remainder loop.
 func TestDecideBatchMatchesRowAtATime(t *testing.T) {
-	base := trainedModel(t, 31)
-	for _, kind := range []infer.Kind{infer.KindFloat64, infer.KindInt8} {
-		m := base.Clone()
-		m.Backend = kind
-		if err := m.EnsureBackends(); err != nil {
-			t.Fatalf("%s: %v", kind, err)
+	m := trainedModel(t, 31)
+	inf := NewInference(m)
+	ref := NewInference(m)
+	rng := rand.New(rand.NewSource(8))
+	for _, n := range []int{1, 2, 4, 5, 8, 31, 64} {
+		feats := make([][]float64, n)
+		presets := make([]float64, n)
+		inf.BeginBatch(n)
+		for i := 0; i < n; i++ {
+			feats[i] = randomFeatures(rng)
+			presets[i] = rng.Float64() * 0.3
+			inf.SetBatchRow(i, feats[i], presets[i])
 		}
-		inf := NewInference(m)
-		ref := NewInference(m)
-		rng := rand.New(rand.NewSource(8))
-		for _, n := range []int{1, 2, 4, 5, 8, 31, 64} {
-			feats := make([][]float64, n)
-			presets := make([]float64, n)
-			inf.BeginBatch(n)
-			for i := 0; i < n; i++ {
-				feats[i] = randomFeatures(rng)
-				presets[i] = rng.Float64() * 0.3
-				inf.SetBatchRow(i, feats[i], presets[i])
+		inf.DecideBatch()
+		if inf.BatchLen() != n {
+			t.Fatalf("n=%d: BatchLen %d", n, inf.BatchLen())
+		}
+		for i := 0; i < n; i++ {
+			wantLevel, wantPred := ref.Decide(feats[i], presets[i])
+			if inf.BatchLevel(i) != wantLevel || inf.BatchPredInstr(i) != wantPred {
+				t.Fatalf("n=%d row %d: batch (%d, %g) != row (%d, %g)",
+					n, i, inf.BatchLevel(i), inf.BatchPredInstr(i), wantLevel, wantPred)
 			}
-			inf.DecideBatch()
-			if inf.BatchLen() != n {
-				t.Fatalf("%s n=%d: BatchLen %d", kind, n, inf.BatchLen())
+			wantLogits := ref.Logits()
+			gotLogits := inf.BatchLogits(i)
+			for k := range wantLogits {
+				if gotLogits[k] != wantLogits[k] {
+					t.Fatalf("n=%d row %d logit %d: %g != %g", n, i, k, gotLogits[k], wantLogits[k])
+				}
 			}
-			for i := 0; i < n; i++ {
-				wantLevel, wantPred := ref.Decide(feats[i], presets[i])
-				if inf.BatchLevel(i) != wantLevel || inf.BatchPredInstr(i) != wantPred {
-					t.Fatalf("%s n=%d row %d: batch (%d, %g) != row (%d, %g)",
-						kind, n, i, inf.BatchLevel(i), inf.BatchPredInstr(i), wantLevel, wantPred)
-				}
-				wantLogits := ref.Logits()
-				gotLogits := inf.BatchLogits(i)
-				for k := range wantLogits {
-					if gotLogits[k] != wantLogits[k] {
-						t.Fatalf("%s n=%d row %d logit %d: %g != %g", kind, n, i, k, gotLogits[k], wantLogits[k])
-					}
-				}
-				wantRow := ref.DecisionRow()
-				gotRow := inf.BatchDerived(i)
-				for k := range wantRow {
-					if gotRow[k] != wantRow[k] {
-						t.Fatalf("%s n=%d row %d derived %d: %g != %g", kind, n, i, k, gotRow[k], wantRow[k])
-					}
+			wantRow := ref.DecisionRow()
+			gotRow := inf.BatchDerived(i)
+			for k := range wantRow {
+				if gotRow[k] != wantRow[k] {
+					t.Fatalf("n=%d row %d derived %d: %g != %g", n, i, k, gotRow[k], wantRow[k])
 				}
 			}
 		}
@@ -83,63 +74,40 @@ func TestDecideBatchSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestEnsureBackendsRejectsCorruptInt8 is the hot-swap gate: a model
-// declaring the int8 backend whose decision head has an all-zero layer
-// must fail EnsureBackends with the structured infer error, and
-// NewController must refuse it.
-func TestEnsureBackendsRejectsCorruptInt8(t *testing.T) {
-	m := trainedModel(t, 33)
-	m.Backend = infer.KindInt8
-	for i := range m.Decision.Layers[0].W {
-		m.Decision.Layers[0].W[i] = 0
-	}
-	err := m.EnsureBackends()
-	if err == nil || !strings.Contains(err.Error(), "quantize") {
-		t.Fatalf("EnsureBackends = %v, want quantize-stage error", err)
-	}
-	if _, err := NewController(m, 0.1, 4, true); err == nil {
-		t.Fatal("NewController accepted a model whose int8 backend cannot be built")
-	}
-}
-
-// TestBackendFieldRoundTrips: the backend kind rides in the saved-model
-// header and an unknown kind is rejected at load.
-func TestBackendFieldRoundTrips(t *testing.T) {
+// TestLegacyBackendFieldLoads: artifacts from before the single numeric
+// path may still carry a "backend" header field naming int8. They load,
+// serve float64, and re-save without the field.
+func TestLegacyBackendFieldLoads(t *testing.T) {
 	m := trainedModel(t, 34)
-	m.Backend = infer.KindInt8
 	var buf strings.Builder
 	if err := m.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(strings.NewReader(buf.String()))
+	legacy := strings.Replace(buf.String(), `"preset_samples":`, `"backend":"int8","preset_samples":`, 1)
+	if legacy == buf.String() {
+		t.Fatal("test did not find where to insert the legacy backend field")
+	}
+	got, err := Load(strings.NewReader(legacy))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got.Backend != infer.KindInt8 {
-		t.Fatalf("loaded backend %q, want int8", got.Backend)
 	}
 	if err := got.Validate(); err != nil {
 		t.Fatal(err)
 	}
-
-	bad := strings.Replace(buf.String(), `"backend":"int8"`, `"backend":"fp7"`, 1)
-	if bad == buf.String() {
-		t.Fatal("test did not find the backend field to corrupt")
+	feats := randomFeatures(rand.New(rand.NewSource(11)))
+	wl, wp := NewInference(m).Decide(feats, 0.1)
+	if l, p := NewInference(got).Decide(feats, 0.1); l != wl || p != wp {
+		t.Fatalf("legacy artifact decided (%d, %g), want float64 (%d, %g)", l, p, wl, wp)
 	}
-	if _, err := Load(strings.NewReader(bad)); err == nil {
-		t.Fatal("Load accepted an unknown backend kind")
-	}
-
-	// Clone drops the cache but keeps the declared kind.
-	if err := got.EnsureBackends(); err != nil {
+	var again strings.Builder
+	if err := got.Save(&again); err != nil {
 		t.Fatal(err)
 	}
-	cp := got.Clone()
-	if cp.bk != nil {
-		t.Fatal("Clone carried the backend cache across")
+	if again.String() != buf.String() {
+		t.Fatal("re-saved legacy artifact differs from the original save")
 	}
-	if cp.Backend != infer.KindInt8 {
-		t.Fatalf("Clone backend %q, want int8", cp.Backend)
+	if cp := got.Clone(); cp.bk != nil {
+		t.Fatal("Clone carried the kernel cache across")
 	}
 }
 
@@ -148,7 +116,6 @@ func TestBackendFieldRoundTrips(t *testing.T) {
 // lazy construction.
 func TestConcurrentLazyBackendBuild(t *testing.T) {
 	m := trainedModel(t, 35)
-	m.Backend = infer.KindInt8
 	feats := randomFeatures(rand.New(rand.NewSource(10)))
 	want := -1
 	var mu sync.Mutex

@@ -9,17 +9,16 @@ import (
 )
 
 // Inference is a reusable inference context over a Model: it owns the
-// feature-selection, scaling, and backend scratch buffers so that
+// feature-selection, scaling, and kernel scratch buffers so that
 // steady-state decisions allocate nothing — the serving hot path. All
-// inference routes through the model's infer.Backend pair (float64 or
-// int8), never nn.MLP directly. The underlying Model and its backends
-// are only read, so any number of Inference contexts may share one Model
+// inference routes through the model's infer.Kernel pair, never nn.MLP
+// directly. The underlying Model and its kernels are only read, so any number of Inference contexts may share one Model
 // concurrently; the Inference itself belongs to a single goroutine at a
 // time (pool one per worker, e.g. with sync.Pool).
 type Inference struct {
 	m   *Model
-	dBk infer.Backend // decision head
-	cBk infer.Backend // calibrator head
+	dBk *infer.Kernel // decision head
+	cBk *infer.Kernel // calibrator head
 
 	dRow, cRow []float64 // raw [features..., preset(, level)] rows
 	dStd, cStd []float64 // standardized copies
@@ -28,7 +27,7 @@ type Inference struct {
 	lastLogits []float64 // decision-head output of the last DecideLevel
 
 	// Batch state (BeginBatch/SetBatchRow/DecideBatch). dIn and cIn are
-	// standardized backend inputs; raws keeps each row's raw derived
+	// standardized kernel inputs; raws keeps each row's raw derived
 	// features + preset for provenance capture.
 	dIn     nn.Batch
 	cIn     nn.Batch
@@ -55,9 +54,9 @@ func (inf *Inference) Model() *Model { return inf.m }
 // the already-bound model is a pointer compare and nothing else, which is
 // what the serving engine does once per batch.
 //
-// Bind panics if the model's declared backend cannot be built — serving
-// paths validate with Model.EnsureBackends before publishing a model, so
-// the panic only fires when that contract is broken (and the serving
+// Bind panics if the model's kernels cannot be built — serving paths
+// build them with Model.EnsureBackends before publishing a model, so the
+// panic only fires when that contract is broken (and the serving
 // engine's per-batch recovery degrades it to a fallback decision).
 func (inf *Inference) Bind(m *Model) {
 	if inf.m == m && inf.dBk != nil {
@@ -82,13 +81,9 @@ func (inf *Inference) Bind(m *Model) {
 	inf.cRow, inf.cStd = inf.cRow[:nc], inf.cStd[:nc]
 }
 
-// Backend returns the kind of backend the context currently infers with.
-func (inf *Inference) Backend() infer.Kind { return inf.dBk.Describe().Kind }
-
 // DecideLevel returns the operating-point level for the next epoch given
 // the full 47-counter vector of the just-finished epoch and the (possibly
-// calibrated) performance-loss preset, through the model's declared
-// inference backend (int8 included).
+// calibrated) performance-loss preset.
 func (inf *Inference) DecideLevel(fullFeatures []float64, preset float64) int {
 	m := inf.m
 	n := len(m.FeatureIdx)

@@ -15,7 +15,6 @@ import (
 
 	"ssmdvfs/internal/atomicfile"
 	"ssmdvfs/internal/counters"
-	"ssmdvfs/internal/infer"
 	"ssmdvfs/internal/nn"
 )
 
@@ -45,13 +44,6 @@ type Model struct {
 	// (see TrainOptions.PresetSamples), so evaluation matches it.
 	PresetSamples int
 
-	// Backend declares the inference backend this model serves with
-	// ("float64" or "int8"; empty means float64). It rides in the saved
-	// artifact so a model trained and parity-validated for int8 keeps
-	// that property through hot swaps, and is overridable per daemon via
-	// the -backend flag.
-	Backend infer.Kind
-
 	// Lineage tracks where this model came from across online
 	// recalibration: its generation number, parent generation, and how it
 	// was produced. The zero value means an unversioned offline artifact,
@@ -59,7 +51,7 @@ type Model struct {
 	// byte-identically.
 	Lineage Lineage
 
-	// bk caches the built backend pair (see backend.go). A plain pointer
+	// bk caches the built kernel pair (see backend.go). A plain pointer
 	// rather than a sync type so Clone's shallow copy stays vet-clean;
 	// access is guarded by the package-level backendMu.
 	bk *modelBackends
@@ -94,10 +86,9 @@ func (m *Model) EffectiveFLOPs() int {
 // Params returns the combined parameter count.
 func (m *Model) Params() int { return m.Decision.Params() + m.Calibrator.Params() }
 
-// Clone deep-copies the model. The backend cache is deliberately not
-// carried over: a clone is usually about to be mutated (pruned,
-// fake-quantized), and stale backends would serve the pre-mutation
-// weights.
+// Clone deep-copies the model. The kernel cache is deliberately not
+// carried over: the cached kernels read the original's heads, and a
+// clone is usually about to be mutated (pruned, fake-quantized).
 func (m *Model) Clone() *Model {
 	cp := *m
 	cp.FeatureIdx = append([]int(nil), m.FeatureIdx...)
@@ -173,9 +164,6 @@ func (m *Model) Validate() error {
 	if err := m.Calibrator.CheckFinite(); err != nil {
 		return fmt.Errorf("core: calibrator head: %w", err)
 	}
-	if _, err := infer.ParseKind(string(m.Backend)); err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
 	return nil
 }
 
@@ -190,7 +178,6 @@ type serializedModel struct {
 	CalibScaler    *counters.Scaler `json:"calib_scaler"`
 	TargetScale    float64          `json:"target_scale"`
 	PresetSamples  int              `json:"preset_samples"`
-	Backend        string           `json:"backend,omitempty"`
 	Lineage        *Lineage         `json:"lineage,omitempty"`
 }
 
@@ -206,7 +193,6 @@ func (m *Model) Save(w io.Writer) error {
 	s := serializedModel{
 		Levels:         m.Levels,
 		PresetSamples:  m.PresetSamples,
-		Backend:        string(m.Backend),
 		Decision:       json.RawMessage(dBuf.Bytes()),
 		Calibrator:     json.RawMessage(cBuf.Bytes()),
 		DecisionScaler: m.DecisionScaler,
@@ -235,12 +221,9 @@ func Load(r io.Reader) (*Model, error) {
 	if s.DecisionScaler == nil || s.CalibScaler == nil {
 		return nil, fmt.Errorf("core: model is missing scalers")
 	}
-	if _, err := infer.ParseKind(s.Backend); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
 	m := &Model{Levels: s.Levels, TargetScale: s.TargetScale,
 		DecisionScaler: s.DecisionScaler, CalibScaler: s.CalibScaler,
-		PresetSamples: s.PresetSamples, Backend: infer.Kind(s.Backend)}
+		PresetSamples: s.PresetSamples}
 	if s.Lineage != nil {
 		m.Lineage = *s.Lineage
 	}

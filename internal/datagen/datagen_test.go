@@ -39,8 +39,7 @@ var (
 func sharedDataset(t *testing.T) *Dataset {
 	t.Helper()
 	sharedOnce.Do(func() {
-		sharedDS = &Dataset{}
-		sharedErr = Generate(testConfig(), testKernel(), sharedDS, nil)
+		sharedDS, sharedErr = RunSuite(SuiteOptions{Config: testConfig(), Kernels: []isa.Kernel{testKernel()}, Workers: 1})
 	})
 	if sharedErr != nil {
 		t.Fatal(sharedErr)
@@ -136,12 +135,12 @@ func TestGenerateScalingInstrPositive(t *testing.T) {
 func TestGenerateValidation(t *testing.T) {
 	cfg := testConfig()
 	cfg.BreakpointPs = 15_000_000 // not a multiple of 10 µs epochs
-	if err := Generate(cfg, testKernel(), &Dataset{}, nil); err == nil {
+	if _, err := RunSuite(SuiteOptions{Config: cfg, Kernels: []isa.Kernel{testKernel()}}); err == nil {
 		t.Fatal("non-epoch-aligned breakpoint accepted")
 	}
 	cfg = testConfig()
 	cfg.ClusterStride = 0
-	if err := Generate(cfg, testKernel(), &Dataset{}, nil); err == nil {
+	if _, err := RunSuite(SuiteOptions{Config: cfg, Kernels: []isa.Kernel{testKernel()}}); err == nil {
 		t.Fatal("zero stride accepted")
 	}
 }

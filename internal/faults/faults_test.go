@@ -214,7 +214,7 @@ func TestParse(t *testing.T) {
 	if inj, err := Parse("", 1); inj != nil || err != nil {
 		t.Fatalf("empty spec = (%v, %v), want (nil, nil)", inj, err)
 	}
-	for _, bad := range []string{"justasite", "a:nosuchkind", "a:error:every", "a:error:bogus=1", "a:error:rate=x"} {
+	for _, bad := range []string{"justasite", "a:nosuchkind", "a:error:every", "a:error:bogus=1", "a:error:rate=x", "a:error:rate=NaN"} {
 		if _, err := Parse(bad, 1); err == nil {
 			t.Fatalf("spec %q accepted", bad)
 		}

@@ -170,7 +170,7 @@ func TestRouterRoutesByKey(t *testing.T) {
 // TestRouterCoalesces floods the router from many goroutines and checks
 // rows actually share frames — far fewer dispatched batches than rows —
 // and that those frames stay batched through the replica's engine into
-// the inference backend instead of decaying to row-at-a-time.
+// the inference kernel instead of decaying to row-at-a-time.
 func TestRouterCoalesces(t *testing.T) {
 	rt, srvs := startFleet(t, 1, Options{
 		CoalesceWait: 2 * time.Millisecond,
@@ -213,73 +213,23 @@ func TestRouterCoalesces(t *testing.T) {
 	}
 
 	// The replica engine must have answered those frames with multi-row
-	// ForwardBatch calls: every row accounted for, fewer backend calls
+	// ForwardBatch calls: every row accounted for, fewer kernel calls
 	// than rows, and the batch-size histogram showing calls of >= 2 rows
 	// (buckets [2^(i-1), 2^i); index 1 is single-row, >= 2 is multi-row).
 	esnap := srvs[0].Metrics().Snapshot(0)
-	if esnap.InferRowsFloat64 != int64(rows) {
-		t.Fatalf("backend saw %d rows, want %d", esnap.InferRowsFloat64, rows)
+	if esnap.InferRows != int64(rows) {
+		t.Fatalf("kernel saw %d rows, want %d", esnap.InferRows, rows)
 	}
-	if esnap.InferBatchesFloat64 >= int64(rows) {
-		t.Fatalf("%d backend calls for %d rows: frames decayed to row-at-a-time inference",
-			esnap.InferBatchesFloat64, rows)
+	if esnap.InferBatches >= int64(rows) {
+		t.Fatalf("%d kernel calls for %d rows: frames decayed to row-at-a-time inference",
+			esnap.InferBatches, rows)
 	}
 	var multi int64
 	for i := 2; i < len(esnap.InferBatchRows); i++ {
 		multi += esnap.InferBatchRows[i]
 	}
 	if multi == 0 {
-		t.Fatalf("no multi-row backend call recorded: batch-rows histogram %v", esnap.InferBatchRows)
-	}
-}
-
-// TestRouterExpectBackend pins the fleet-wide backend contract: a router
-// that requires int8 serves from int8 replicas, refuses a replica
-// advertising other numerics at negotiation (rows shed, shard down), and
-// the prober never restores a mismatched replica.
-func TestRouterExpectBackend(t *testing.T) {
-	if _, err := NewRouter(Options{Replicas: []string{"127.0.0.1:1"}, ExpectBackend: "fp7"}); err == nil {
-		t.Fatal("unknown ExpectBackend accepted")
-	}
-
-	rng := rand.New(rand.NewSource(30))
-	row := serve.Request{Preset: 0.1, Features: featureRow(rng), GPU: 1, Cluster: 1}
-
-	addr, _ := startReplica(t, 30, serve.Options{Backend: "int8"})
-	rt, err := NewRouter(Options{
-		Replicas: []string{addr}, ExpectBackend: "int8",
-		QueueDeadline: time.Second, ProbeInterval: time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	if decs := rt.Decide([]serve.Request{row}, nil); decs[0].Reason != provenance.ReasonModel {
-		t.Fatalf("matching int8 fleet answered %v, want model", decs[0].Reason)
-	}
-
-	// Same router config against a float64 replica: the dial-time
-	// negotiation must refuse it, so the row sheds and the shard is down.
-	addr2, _ := startReplica(t, 31, serve.Options{})
-	rt2, err := NewRouter(Options{
-		Replicas: []string{addr2}, ExpectBackend: "int8",
-		QueueDeadline: time.Second, ProbeInterval: 2 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt2.Close()
-	if decs := rt2.Decide([]serve.Request{row}, nil); decs[0].Reason != provenance.ReasonShed {
-		t.Fatalf("mismatched fleet answered %v, want shed", decs[0].Reason)
-	}
-	if rt2.Ring().Healthy() != 0 {
-		t.Fatalf("mismatched replica still healthy: %d", rt2.Ring().Healthy())
-	}
-	// Give the prober several cycles: a live TCP endpoint with the wrong
-	// backend must stay out of the ring.
-	time.Sleep(50 * time.Millisecond)
-	if rt2.Ring().Healthy() != 0 {
-		t.Fatal("prober restored a replica advertising the wrong backend")
+		t.Fatalf("no multi-row kernel call recorded: batch-rows histogram %v", esnap.InferBatchRows)
 	}
 }
 

@@ -1,13 +1,11 @@
 // Package infer is the serving-side inference API: every component that
 // turns feature rows into logits — core.Inference, serve.Engine, the
-// fleet tier's coalesced dispatch, benches — goes through a Backend
-// instead of calling nn.MLP methods directly. Two backends exist: the
-// float64 reference path (nn.ForwardScratch / nn.ForwardBatch) and an
-// int8 path built by per-layer symmetric weight quantization with
-// dynamic per-row activation scales, int32 accumulators, and fused
-// dequantize+ReLU. Backends are immutable once built and safe for any
-// number of concurrent callers; all mutable state lives in the
-// per-goroutine Scratch.
+// fleet tier's coalesced dispatch, benches — goes through a Kernel
+// instead of calling nn.MLP methods directly. There is one numeric path,
+// the float64 reference (nn.ForwardScratch / nn.ForwardBatch); batching
+// rows into one ForwardBatch call is where serving throughput comes from.
+// Kernels are immutable once built and safe for any number of concurrent
+// callers; all mutable state lives in the per-goroutine Scratch.
 package infer
 
 import (
@@ -16,125 +14,46 @@ import (
 	"ssmdvfs/internal/nn"
 )
 
-// Kind names an inference backend implementation.
+// Kind names an inference numeric format. Only KindFloat64 is served;
+// KindInt8 remains as a name for callers that still ask for it and get
+// an error back. The paper's int8 numerics live in internal/quant.
 type Kind string
 
 const (
-	// KindFloat64 is the reference backend: float64 weights and
-	// activations, bit-identical to nn.MLP.Forward.
 	KindFloat64 Kind = "float64"
-	// KindInt8 is the quantized backend: int8 weights (per-layer
-	// symmetric scales), int8 activations (per-row dynamic scales),
-	// int32 accumulation, float64 dequantize fused with ReLU.
-	KindInt8 Kind = "int8"
+	KindInt8    Kind = "int8"
 )
 
-// ParseKind validates a backend name from a flag or model header. The
-// empty string means "unspecified" and resolves to the float64 default.
-func ParseKind(s string) (Kind, error) {
-	switch Kind(s) {
-	case "", KindFloat64:
-		return KindFloat64, nil
-	case KindInt8:
-		return KindInt8, nil
-	}
-	return "", &Error{Kind: Kind(s), Stage: "kind", Layer: -1,
-		Err: fmt.Errorf("unknown backend %q (want %q or %q)", s, KindFloat64, KindInt8)}
-}
-
-// Description reports what a backend serves, for logs, /healthz, and the
-// fleet tier's hello negotiation.
-type Description struct {
-	Kind       Kind
-	In, Out    int
-	Layers     int
-	Params     int
-	WeightBits int // 64 for float64, 8 for int8
-}
-
-func (d Description) String() string {
-	return fmt.Sprintf("%s(%d→%d, %d layers, %d params, w%d)",
-		d.Kind, d.In, d.Out, d.Layers, d.Params, d.WeightBits)
-}
-
-// Scratch holds every buffer a backend needs: per-layer activations for
-// the row and batch paths plus the int8 backend's quantized rows and
-// scales. One Scratch serves either backend kind, so a hot-swap between
-// kinds reuses the same pooled scratches. A Scratch belongs to one
-// goroutine at a time; backends themselves are read-only and shared.
+// Scratch holds a kernel's per-layer activations for the row and batch
+// paths. A Scratch belongs to one goroutine at a time; kernels
+// themselves are read-only and shared.
 type Scratch struct {
 	row   nn.Scratch
 	batch nn.BatchScratch
-	i8    int8Scratch
 }
 
-// Backend runs inference for one network. Forward and ForwardBatch
-// return slices/batches aliasing s, valid until the next call with the
-// same Scratch. Output row r of ForwardBatch always corresponds to input
-// row r, and equals what Forward would produce for that row.
-type Backend interface {
-	Forward(x []float64, s *Scratch) []float64
-	ForwardBatch(x *nn.Batch, s *Scratch) *nn.Batch
-	Describe() Description
-}
-
-// Error is a structured backend construction/validation failure, in the
-// same shape as serve.ReloadError: the failing stage and layer survive
-// up the stack so a rejected hot-swap can say exactly what was wrong
-// with the artifact.
-type Error struct {
-	Kind  Kind
-	Stage string // "kind", "quantize", "parity"
-	Layer int    // layer index, or -1 when not layer-specific
-	Err   error
-}
-
-func (e *Error) Error() string {
-	if e.Layer >= 0 {
-		return fmt.Sprintf("infer: backend %s %s (layer %d): %v", e.Kind, e.Stage, e.Layer, e.Err)
-	}
-	return fmt.Sprintf("infer: backend %s %s: %v", e.Kind, e.Stage, e.Err)
-}
-
-func (e *Error) Unwrap() error { return e.Err }
-
-// New builds a backend of the given kind over m. The float64 kind always
-// succeeds; the int8 kind fails with a structured *Error if any layer
-// quantizes to a zero or non-finite scale (a corrupt artifact would
-// otherwise serve all-zero or NaN logits). m must not be mutated while
-// the backend is in use.
-func New(m *nn.MLP, kind Kind) (Backend, error) {
-	switch kind {
-	case "", KindFloat64:
-		return &float64Backend{m: m}, nil
-	case KindInt8:
-		return newInt8Backend(m)
-	}
-	_, err := ParseKind(string(kind))
-	return nil, err
-}
-
-// float64Backend is the reference path: thin routing onto the nn
-// scratch/batch kernels, bit-identical to nn.MLP.Forward.
-type float64Backend struct {
+// Kernel runs float64 inference for one network. Forward and
+// ForwardBatch return slices/batches aliasing s, valid until the next
+// call with the same Scratch. Output row r of ForwardBatch always
+// corresponds to input row r, and equals what Forward would produce for
+// that row, bit for bit.
+type Kernel struct {
 	m *nn.MLP
 }
 
-func (b *float64Backend) Forward(x []float64, s *Scratch) []float64 {
-	return b.m.ForwardScratch(x, &s.row)
-}
-
-func (b *float64Backend) ForwardBatch(x *nn.Batch, s *Scratch) *nn.Batch {
-	return b.m.ForwardBatch(x, &s.batch)
-}
-
-func (b *float64Backend) Describe() Description {
-	return Description{
-		Kind:       KindFloat64,
-		In:         b.m.InputSize(),
-		Out:        b.m.OutputSize(),
-		Layers:     len(b.m.Layers),
-		Params:     b.m.Params(),
-		WeightBits: 64,
+// New builds a kernel over m. Any kind other than KindFloat64 is an
+// error. m must not be mutated while the kernel is in use.
+func New(m *nn.MLP, kind Kind) (*Kernel, error) {
+	if kind != KindFloat64 {
+		return nil, fmt.Errorf("infer: no %q kernel (only %q is served)", kind, KindFloat64)
 	}
+	return &Kernel{m: m}, nil
+}
+
+func (k *Kernel) Forward(x []float64, s *Scratch) []float64 {
+	return k.m.ForwardScratch(x, &s.row)
+}
+
+func (k *Kernel) ForwardBatch(x *nn.Batch, s *Scratch) *nn.Batch {
+	return k.m.ForwardBatch(x, &s.batch)
 }

@@ -1,8 +1,6 @@
 package infer
 
 import (
-	"errors"
-	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -17,31 +15,6 @@ func testMLP(t testing.TB, sizes []int, seed int64) *nn.MLP {
 		t.Fatal(err)
 	}
 	return m
-}
-
-func TestParseKind(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Kind
-		ok   bool
-	}{
-		{"", KindFloat64, true},
-		{"float64", KindFloat64, true},
-		{"int8", KindInt8, true},
-		{"float32", "", false},
-		{"INT8", "", false},
-	} {
-		got, err := ParseKind(tc.in)
-		if (err == nil) != tc.ok || got != tc.want {
-			t.Errorf("ParseKind(%q) = %q, %v; want %q, ok=%v", tc.in, got, err, tc.want, tc.ok)
-		}
-		if err != nil {
-			var ie *Error
-			if !errors.As(err, &ie) || ie.Stage != "kind" {
-				t.Errorf("ParseKind(%q) error %v is not a stage=kind *Error", tc.in, err)
-			}
-		}
-	}
 }
 
 // TestFloat64BackendMatchesMLP pins the float64 backend to nn.Forward bit
@@ -74,136 +47,44 @@ func TestFloat64BackendMatchesMLP(t *testing.T) {
 			}
 		}
 	}
-	d := b.Describe()
-	if d.Kind != KindFloat64 || d.In != 6 || d.Out != 6 || d.WeightBits != 64 || d.Layers != 3 {
-		t.Fatalf("Describe() = %+v", d)
-	}
 }
 
-// TestInt8RowMatchesBatch: the int8 single-row path routes through the
-// batch kernel, so the two must agree exactly, and batches must be
-// row-order-preserving regardless of tile boundaries.
-func TestInt8RowMatchesBatch(t *testing.T) {
-	m := testMLP(t, []int{6, 20, 20, 6}, 3)
-	b, err := New(m, KindInt8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(4))
-	for _, rows := range []int{1, 3, 4, 5, 8, 17} {
-		var x nn.Batch
-		x.Reset(rows, 6)
-		for i := range x.Data {
-			x.Data[i] = rng.NormFloat64()
-		}
-		var s, s2 Scratch
-		y := b.ForwardBatch(&x, &s)
-		for r := 0; r < rows; r++ {
-			want := b.Forward(x.Row(r), &s2)
-			for k, v := range y.Row(r) {
-				if v != want[k] {
-					t.Fatalf("rows=%d row %d out %d: batch %g != row %g", rows, r, k, v, want[k])
-				}
-			}
-		}
-	}
-}
-
-// TestInt8TracksFloat64 bounds the quantized backend's drift from the
-// reference on synthetic standardized rows: the relative logit error
-// stays small and the argmax flip rate is well under the serving bound.
-func TestInt8TracksFloat64(t *testing.T) {
-	m := testMLP(t, []int{6, 20, 20, 6}, 5)
-	b, err := New(m, KindInt8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := CheckParity(m, b, 2048, 6)
-	t.Logf("int8 parity: %+v", rep)
-	if rep.MaxRelErr > 0.15 {
-		t.Fatalf("max relative logit error %.4f, want <= 0.15", rep.MaxRelErr)
-	}
-	if rep.FlipRate > 0.02 {
-		t.Fatalf("argmax flip rate %.4f over %d rows, want <= 0.02", rep.FlipRate, rep.Rows)
-	}
-	if d := b.Describe(); d.WeightBits != 8 || d.Kind != KindInt8 {
-		t.Fatalf("Describe() = %+v", d)
-	}
-}
-
-// TestInt8RejectsDegenerateScales: a corrupt artifact (all-zero layer,
-// NaN weight) must fail backend construction with a structured *Error,
-// not serve all-zero or NaN logits.
-func TestInt8RejectsDegenerateScales(t *testing.T) {
-	zero := testMLP(t, []int{4, 8, 4}, 7)
-	for i := range zero.Layers[1].W {
-		zero.Layers[1].W[i] = 0
-	}
-	_, err := New(zero, KindInt8)
-	var ie *Error
-	if !errors.As(err, &ie) || ie.Stage != "quantize" || ie.Layer != 1 {
-		t.Fatalf("all-zero layer: got %v, want stage=quantize layer=1 *Error", err)
-	}
-
-	nan := testMLP(t, []int{4, 8, 4}, 8)
-	nan.Layers[0].W[3] = math.NaN()
-	_, err = New(nan, KindInt8)
-	if !errors.As(err, &ie) || ie.Stage != "quantize" || ie.Layer != 0 {
-		t.Fatalf("NaN weight: got %v, want stage=quantize layer=0 *Error", err)
-	}
-
-	if _, err := New(testMLP(t, []int{4, 8, 4}, 9), Kind("bf16")); err == nil {
-		t.Fatal("unknown kind accepted")
-	}
-}
-
-// TestInt8ZeroRowMatchesBias: an all-zero input row dequantizes to
-// exactly the bias path, matching float64 on the same row.
-func TestInt8ZeroRowMatchesBias(t *testing.T) {
-	m := testMLP(t, []int{6, 12, 6}, 10)
-	b, err := New(m, KindInt8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var s Scratch
-	zero := make([]float64, 6)
-	got := b.Forward(zero, &s)
-	want := m.Forward(zero)
-	for k := range want {
-		if got[k] != want[k] {
-			t.Fatalf("zero row out %d: int8 %g != float64 %g", k, got[k], want[k])
+// TestNewRejectsNonFloat64 pins the single served numeric path: any
+// kind other than float64, int8 included, fails to build.
+func TestNewRejectsNonFloat64(t *testing.T) {
+	m := testMLP(t, []int{4, 8, 4}, 9)
+	for _, kind := range []Kind{KindInt8, "", "bf16"} {
+		if _, err := New(m, kind); err == nil {
+			t.Errorf("New(%q) accepted", kind)
 		}
 	}
 }
 
 func TestBackendSteadyStateAllocs(t *testing.T) {
-	m := testMLP(t, []int{6, 20, 20, 6}, 11)
-	for _, kind := range []Kind{KindFloat64, KindInt8} {
-		b, err := New(m, kind)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var x nn.Batch
-		x.Reset(16, 6)
-		for i := range x.Data {
-			x.Data[i] = float64(i%7) - 3
-		}
-		var s Scratch
-		row := make([]float64, 6)
-		b.ForwardBatch(&x, &s)
-		b.Forward(row, &s)
-		if allocs := testing.AllocsPerRun(200, func() { b.ForwardBatch(&x, &s) }); allocs > 0 {
-			t.Errorf("%s ForwardBatch allocates %.1f objects/op, want 0", kind, allocs)
-		}
-		if allocs := testing.AllocsPerRun(200, func() { b.Forward(row, &s) }); allocs > 0 {
-			t.Errorf("%s Forward allocates %.1f objects/op, want 0", kind, allocs)
-		}
+	b, err := New(testMLP(t, []int{6, 20, 20, 6}, 11), KindFloat64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var x nn.Batch
+	x.Reset(16, 6)
+	for i := range x.Data {
+		x.Data[i] = float64(i%7) - 3
+	}
+	var s Scratch
+	row := make([]float64, 6)
+	b.ForwardBatch(&x, &s)
+	b.Forward(row, &s)
+	if allocs := testing.AllocsPerRun(200, func() { b.ForwardBatch(&x, &s) }); allocs > 0 {
+		t.Errorf("ForwardBatch allocates %.1f objects/op, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(200, func() { b.Forward(row, &s) }); allocs > 0 {
+		t.Errorf("Forward allocates %.1f objects/op, want 0", allocs)
 	}
 }
 
-// TestConcurrentBackendParity hammers both backends from 16 goroutines
-// with per-goroutine scratch, asserting bit-identical outputs to a serial
-// pass. With -race this proves backends are read-only after construction.
+// TestConcurrentBackendParity hammers one kernel from 16 goroutines with
+// per-goroutine scratch, asserting bit-identical outputs to a serial
+// pass. With -race this proves kernels are read-only after construction.
 func TestConcurrentBackendParity(t *testing.T) {
 	m := testMLP(t, []int{6, 20, 20, 6}, 12)
 	rng := rand.New(rand.NewSource(13))
@@ -212,46 +93,44 @@ func TestConcurrentBackendParity(t *testing.T) {
 	for i := range x.Data {
 		x.Data[i] = rng.NormFloat64()
 	}
-	for _, kind := range []Kind{KindFloat64, KindInt8} {
-		b, err := New(m, kind)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var ws Scratch
-		ref := b.ForwardBatch(&x, &ws)
-		want := make([]float64, len(ref.Data))
-		copy(want, ref.Data)
+	b, err := New(m, KindFloat64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ws Scratch
+	ref := b.ForwardBatch(&x, &ws)
+	want := make([]float64, len(ref.Data))
+	copy(want, ref.Data)
 
-		var wg sync.WaitGroup
-		for g := 0; g < 16; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				var s Scratch
-				for rep := 0; rep < 8; rep++ {
-					if (g+rep)%2 == 0 {
-						y := b.ForwardBatch(&x, &s)
-						for i, v := range y.Data {
-							if v != want[i] {
-								t.Errorf("%s goroutine %d batch elem %d: %g != %g", kind, g, i, v, want[i])
-								return
-							}
+	var wg sync.WaitGroup
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var s Scratch
+			for rep := 0; rep < 8; rep++ {
+				if (g+rep)%2 == 0 {
+					y := b.ForwardBatch(&x, &s)
+					for i, v := range y.Data {
+						if v != want[i] {
+							t.Errorf("goroutine %d batch elem %d: %g != %g", g, i, v, want[i])
+							return
 						}
-					} else {
-						for r := 0; r < x.Rows; r++ {
-							got := b.Forward(x.Row(r), &s)
-							wr := want[r*ref.Cols : (r+1)*ref.Cols]
-							for k, v := range got {
-								if v != wr[k] {
-									t.Errorf("%s goroutine %d row %d out %d: %g != %g", kind, g, r, k, v, wr[k])
-									return
-								}
+					}
+				} else {
+					for r := 0; r < x.Rows; r++ {
+						got := b.Forward(x.Row(r), &s)
+						wr := want[r*ref.Cols : (r+1)*ref.Cols]
+						for k, v := range got {
+							if v != wr[k] {
+								t.Errorf("goroutine %d row %d out %d: %g != %g", g, r, k, v, wr[k])
+								return
 							}
 						}
 					}
 				}
-			}(g)
-		}
-		wg.Wait()
+			}
+		}(g)
 	}
+	wg.Wait()
 }

@@ -8,35 +8,33 @@ import (
 	"ssmdvfs/internal/nn"
 )
 
-// BenchmarkForwardBatchKernel isolates the two backends' batch kernels
-// on the deployed decision-head shape (6→12→12→6) so kernel-only
-// regressions are visible without engine overhead on top.
+// BenchmarkForwardBatchKernel isolates the batch kernel on the deployed
+// decision-head shape (6→12→12→6) so kernel-only regressions are visible
+// without engine overhead on top.
 func BenchmarkForwardBatchKernel(b *testing.B) {
 	m, err := nn.NewMLP([]int{6, 12, 12, 6}, rand.New(rand.NewSource(7)))
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, kind := range []Kind{KindFloat64, KindInt8} {
-		bk, err := New(m, kind)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, rows := range []int{1, 8, 64} {
-			b.Run(fmt.Sprintf("backend=%s/rows=%d", kind, rows), func(b *testing.B) {
-				var x nn.Batch
-				x.Reset(rows, 6)
-				rng := rand.New(rand.NewSource(11))
-				for i := range x.Data {
-					x.Data[i] = rng.NormFloat64()
-				}
-				var s Scratch
+	bk, err := New(m, KindFloat64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, rows := range []int{1, 8, 64} {
+		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+			var x nn.Batch
+			x.Reset(rows, 6)
+			rng := rand.New(rand.NewSource(11))
+			for i := range x.Data {
+				x.Data[i] = rng.NormFloat64()
+			}
+			var s Scratch
+			bk.ForwardBatch(&x, &s)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
 				bk.ForwardBatch(&x, &s)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					bk.ForwardBatch(&x, &s)
-				}
-			})
-		}
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package ledger
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -120,6 +121,10 @@ func ParseRules(spec string) ([]Rule, error) {
 		thresh, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
 		if err != nil {
 			return nil, fmt.Errorf("ledger: rule %q: bad threshold: %w", clause, err)
+		}
+		if math.IsNaN(thresh) || math.IsInf(thresh, 0) {
+			// A NaN threshold never compares true, so the rule could never fire.
+			return nil, fmt.Errorf("ledger: rule %q: threshold %v is not finite", clause, thresh)
 		}
 		r.Threshold = thresh
 		rules = append(rules, r.withDefaults())

@@ -41,7 +41,7 @@ func TestParseRules(t *testing.T) {
 	if r := rules[1]; r.Kind != KindStale || r.Threshold != 10 || r.Windows != defaultRuleWindows {
 		t.Fatalf("stale rule = %+v", r)
 	}
-	for _, bad := range []string{"burn", "frobnicate>1", "burn>x", "burn>1@x", "burn>1@4/x"} {
+	for _, bad := range []string{"burn", "frobnicate>1", "burn>x", "burn>1@x", "burn>1@4/x", "burn>NaN", "stale>Inf"} {
 		if _, err := ParseRules(bad); err == nil {
 			t.Fatalf("spec %q parsed without error", bad)
 		}

@@ -60,10 +60,9 @@ func relu(v []float64) {
 // concurrently with inference).
 //
 // Deprecated: serving-path callers outside internal/nn and internal/infer
-// should go through an infer.Backend (infer.New), which routes to this
-// method for the float64 backend and to the quantized kernels for int8,
-// and adds ForwardBatch for multi-row work. Forward remains for training
-// loops and one-off offline evaluation.
+// should go through an infer.Kernel (infer.New), which adds ForwardBatch
+// for multi-row work. Forward remains for training loops and one-off
+// offline evaluation.
 func (m *MLP) Forward(x []float64) []float64 {
 	h := x
 	for i, l := range m.Layers {
@@ -88,9 +87,8 @@ type Scratch struct {
 // next ForwardScratch call with the same Scratch.
 //
 // Deprecated: serving-path callers outside internal/nn and internal/infer
-// should go through an infer.Backend (infer.New), which keeps this
-// allocation-free path for the float64 backend and adds the batched and
-// int8 variants behind the same interface.
+// should go through an infer.Kernel (infer.New), which keeps this
+// allocation-free path and adds the batched variant beside it.
 func (m *MLP) ForwardScratch(x []float64, s *Scratch) []float64 {
 	if len(s.bufs) < len(m.Layers) {
 		s.bufs = append(s.bufs, make([][]float64, len(m.Layers)-len(s.bufs))...)

@@ -2,24 +2,26 @@ package provenance
 
 import (
 	"math"
+	"runtime"
 	"sync/atomic"
 )
 
 // Recorder is the flight recorder: a fixed-capacity ring buffer of the
-// last N decision Records. Record is lock-free and allocation-free —
-// writers claim a slot with one atomic increment and publish the record
-// as a sequence of plain atomic word stores bracketed by a per-slot
-// generation stamp (a seqlock), so any number of decision threads can
-// record concurrently while snapshot readers iterate, with no mutex
-// anywhere and nothing for the race detector to flag.
+// last N decision Records. Record is allocation-free — writers take a
+// generation with one atomic increment, claim its slot by CAS on a
+// per-slot generation stamp (a seqlock), and publish the record as a
+// sequence of plain atomic word stores, so any number of decision
+// threads can record concurrently while snapshot readers iterate, with
+// no mutex anywhere and nothing for the race detector to flag.
 //
 // A reader that observes a slot mid-write (odd stamp, or a stamp that
-// changed across the read) skips it; a writer never waits for anything.
-// If the ring wraps completely within the duration of one in-flight
-// Record call — which requires the capacity to be tiny relative to the
-// writer count — an overwritten slot could in principle publish torn
-// data; with the default capacity this window is unreachable, and the
-// per-record Seq embedded in the payload lets readers cross-check.
+// changed across the read) skips it. A writer claims its slot only from
+// an even stamp of an older generation, so one slot never has two
+// writers: a writer whose slot already carries a newer generation drops
+// its record (it was superseded before it could publish), and one whose
+// slot is still being written by an older generation — possible only
+// when the ring wraps completely within one in-flight Record call —
+// yields until that write is published.
 type Recorder struct {
 	head  atomic.Uint64   // total records ever written
 	seqs  []atomic.Uint64 // per-slot generation stamp: 2g+1 writing, 2g+2 complete
@@ -69,7 +71,7 @@ func (r *Recorder) Dropped() uint64 {
 
 // Record captures one decision. It assigns rec.Seq (1-based, monotonic
 // across the recorder's lifetime), then publishes a copy of *rec into
-// the ring. Safe for any number of concurrent callers; a nil recorder is
+// the ring, unless the ring has already wrapped past rec.Seq. Safe for any number of concurrent callers; a nil recorder is
 // a free no-op, so hot paths need no branching at call sites beyond the
 // nil check the compiler can hoist.
 func (r *Recorder) Record(rec *Record) {
@@ -80,7 +82,19 @@ func (r *Recorder) Record(rec *Record) {
 	rec.Seq = g + 1
 	slot := int(g % uint64(len(r.seqs)))
 	s := &r.seqs[slot]
-	s.Store(2*g + 1)
+	for {
+		cur := s.Load()
+		if cur > 2*g {
+			return // superseded: a newer generation owns the slot
+		}
+		if cur&1 == 1 {
+			runtime.Gosched() // an older writer is mid-publish here
+			continue
+		}
+		if s.CompareAndSwap(cur, 2*g+1) {
+			break
+		}
+	}
 	encodeRecord(r.words[slot*recWords:(slot+1)*recWords], rec)
 	s.Store(2*g + 2)
 }

@@ -217,7 +217,7 @@ func (c *Client) DecideKeyedTraced(rows []Request, tc telemetry.TraceContext) ([
 }
 
 // Negotiate performs the hello/ack exchange and returns the server's
-// answer: whether the peer is a fleet router, its shard count, backend
+// answer: whether the peer is a fleet router, its shard count
 // and model generation. A server speaking another protocol version
 // answers with a structured *ProtoError instead of dropping the
 // connection.

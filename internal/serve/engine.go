@@ -16,7 +16,6 @@ import (
 	"ssmdvfs/internal/core"
 	"ssmdvfs/internal/counters"
 	"ssmdvfs/internal/faults"
-	"ssmdvfs/internal/infer"
 	"ssmdvfs/internal/ledger"
 	"ssmdvfs/internal/provenance"
 	"ssmdvfs/internal/quant"
@@ -31,12 +30,6 @@ type Options struct {
 	// QuantBits, when non-zero, fake-quantizes every loaded model to the
 	// given symmetric bit width (the INT-MAC deployment configuration).
 	QuantBits int
-	// Backend, when non-empty, overrides the inference backend for every
-	// model this engine serves ("float64" or "int8"); empty defers to the
-	// model artifact's own backend field (which defaults to float64). The
-	// resolved backend is built and parity-validated before a model is
-	// swapped in, like every other reload check.
-	Backend string
 	// Workers bounds concurrent inference batches across all transports;
 	// 0 means GOMAXPROCS.
 	Workers int
@@ -126,9 +119,6 @@ func NewEngine(m *core.Model, opts Options) (*Engine, error) {
 	if opts.Table == nil {
 		opts.Table = clockdomain.TitanX()
 	}
-	if _, err := infer.ParseKind(opts.Backend); err != nil {
-		return nil, err
-	}
 	e := &Engine{
 		opts:    opts,
 		metrics: newMetrics(telemetry.NewRegistry()),
@@ -137,7 +127,7 @@ func NewEngine(m *core.Model, opts Options) (*Engine, error) {
 		health:  newHealth(opts.Health),
 		faults:  opts.Faults,
 	}
-	if err := e.applyBackend(m); err != nil {
+	if err := m.EnsureBackends(); err != nil {
 		return nil, err
 	}
 	e.model.Store(m)
@@ -145,25 +135,6 @@ func NewEngine(m *core.Model, opts Options) (*Engine, error) {
 	e.recPool.New = func() any { return new(provenance.Record) }
 	return e, nil
 }
-
-// applyBackend resolves the backend a model will serve with — the
-// engine's override when set, otherwise the model's own header — and
-// builds + parity-validates it. Called before a model is published, so
-// the decision path never discovers a bad backend mid-batch.
-func (e *Engine) applyBackend(m *core.Model) error {
-	if e.opts.Backend != "" {
-		kind, err := infer.ParseKind(e.opts.Backend)
-		if err != nil {
-			return err
-		}
-		m.Backend = kind
-	}
-	return m.EnsureBackends()
-}
-
-// BackendKind returns the inference backend the current model serves
-// with, advertised in hello negotiation and /healthz.
-func (e *Engine) BackendKind() infer.Kind { return e.Model().BackendKind() }
 
 // EnableProvenance installs a decision flight recorder of the given
 // capacity (<= 0 means provenance.DefaultCapacity) and an online
@@ -294,7 +265,7 @@ func LoadModel(path string, quantBits int) (*core.Model, error) {
 
 // ReloadError is the structured error Reload returns when a new model
 // cannot be swapped in; Stage says how far the reload got ("config",
-// "load", "validate", "backend", "swap"). The previously served model
+// "load", "validate", "swap"). The previously served model
 // always stays active.
 type ReloadError struct {
 	Path  string
@@ -349,11 +320,7 @@ func (e *Engine) swapLocked(m *core.Model) error {
 	if err := m.Validate(); err != nil {
 		return err
 	}
-	// Backend build + parity validation is part of the swap gate: an
-	// artifact whose declared (or flag-forced) backend cannot be built —
-	// all-zero layer, non-finite weights, quantization that flips too
-	// many decisions — is rejected and the current model keeps serving.
-	if err := e.applyBackend(m); err != nil {
+	if err := m.EnsureBackends(); err != nil {
 		return err
 	}
 	e.prev.Store(e.model.Load())
@@ -391,7 +358,7 @@ func (e *Engine) Generation() int { return e.Model().Lineage.Generation }
 
 // Rollback restores the retained pre-swap snapshot — the canary escape
 // hatch. It never touches disk: the snapshot was validated and its
-// backend built when it originally served, so rollback cannot fail the
+// kernels built when it originally served, so rollback cannot fail the
 // way a reload can (corrupt file, missing artifact). The rolled-back
 // model becomes the new retained snapshot, so a rollback is itself
 // reversible. Returns the model now serving.
@@ -451,12 +418,7 @@ func (e *Engine) Reload(path string) error {
 	}
 	if err := e.swapLocked(m); err != nil {
 		e.metrics.Errors.Add(1)
-		stage := "swap"
-		var ie *infer.Error
-		if errors.As(err, &ie) {
-			stage = "backend"
-		}
-		return &ReloadError{Path: path, Stage: stage, Err: err}
+		return &ReloadError{Path: path, Stage: "swap", Err: err}
 	}
 	e.opts.Logf("serve: reloaded model from %s (%d params, %d FLOPs)", path, m.Params(), m.FLOPs())
 	return nil
@@ -631,7 +593,7 @@ func (e *Engine) decideBatchTC(rows []Request, decs []Decision, tc telemetry.Tra
 	return decs
 }
 
-// inferChunk caps how many rows one backend ForwardBatch call takes:
+// inferChunk caps how many rows one kernel ForwardBatch call takes:
 // large enough to amortize the matmul over a full coalesced fleet batch,
 // small enough that the budget deadline is still checked at a useful
 // granularity on MaxBatch-sized frames.
@@ -644,7 +606,7 @@ const inferChunk = 64
 // reported as a failure; the rows it did not reach are the caller's to
 // degrade.
 //
-// Valid rows are gathered into runs and answered by one batched backend
+// Valid rows are gathered into runs and answered by one batched kernel
 // inference per run — this is where a coalesced multi-row fleet frame
 // actually amortizes matmul cost instead of unrolling row by row. The
 // per-row semantics are unchanged: the budget is checked and FaultInfer
@@ -676,7 +638,6 @@ func (e *Engine) modelRows(rows []Request, decs []Decision, start time.Time, rec
 		// concurrent swap could have already replaced as the serving one.
 		rec.ModelGen = uint32(inf.Model().Lineage.Generation)
 	}
-	kind := inf.Backend()
 	nFeat := inf.Model().NumFeatures()
 	budget := e.opts.Budget
 	i := 0
@@ -717,7 +678,7 @@ func (e *Engine) modelRows(rows []Request, decs []Decision, start time.Time, rec
 		}
 		if n := j - i; n == 1 {
 			level, pred := inf.Decide(rows[i].Features, rows[i].Preset)
-			e.metrics.ObserveInfer(kind, 1)
+			e.metrics.ObserveInfer(1)
 			e.metrics.ObserveLevel(level)
 			d := Decision{Level: level, Reason: provenance.ReasonModel, PredInstr: pred, Shard: -1}
 			out = append(out, d)
@@ -729,7 +690,7 @@ func (e *Engine) modelRows(rows []Request, decs []Decision, start time.Time, rec
 				inf.SetBatchRow(k, rows[i+k].Features, rows[i+k].Preset)
 			}
 			inf.DecideBatch()
-			e.metrics.ObserveInfer(kind, n)
+			e.metrics.ObserveInfer(n)
 			for k := 0; k < n; k++ {
 				level := inf.BatchLevel(k)
 				e.metrics.ObserveLevel(level)

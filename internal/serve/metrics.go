@@ -3,7 +3,6 @@ package serve
 import (
 	"time"
 
-	"ssmdvfs/internal/infer"
 	"ssmdvfs/internal/telemetry"
 )
 
@@ -17,7 +16,7 @@ const histBuckets = 20
 // without resizing the handle table on model hot-swap.
 const maxLevels = 64
 
-// inferRowBuckets sizes the backend batch-size histogram: bucket i counts
+// inferRowBuckets sizes the kernel batch-size histogram: bucket i counts
 // ForwardBatch calls carrying [2^(i-1), 2^i) rows, and inferChunk (64)
 // rows lands in bucket 7, so 12 covers any future chunk size comfortably.
 const inferRowBuckets = 12
@@ -43,14 +42,12 @@ type Metrics struct {
 	DeadlineMisses  *telemetry.Counter // batches that blew the per-decision budget
 	Unavailable     *telemetry.Counter // HTTP /decide requests refused with 503 in fallback-only
 
-	// Inference backend counters: rows and ForwardBatch calls per backend
-	// kind, plus a histogram of how many rows each backend call carried —
-	// the direct read on whether fleet coalescing actually reaches the
-	// batched kernel or decays to row-at-a-time.
-	InferRowsF64    *telemetry.Counter
-	InferRowsI8     *telemetry.Counter
-	InferBatchesF64 *telemetry.Counter
-	InferBatchesI8  *telemetry.Counter
+	// Inference kernel counters: rows and kernel calls, plus a histogram
+	// of how many rows each call carried — the direct read on whether
+	// fleet coalescing actually reaches the batched kernel or decays to
+	// row-at-a-time.
+	InferRows    *telemetry.Counter
+	InferBatches *telemetry.Counter
 
 	levels    [maxLevels]*telemetry.Counter
 	lat       *telemetry.Histogram
@@ -84,10 +81,8 @@ func newMetrics(reg *telemetry.Registry) *Metrics {
 		RejectedRows:    reg.Counter("serve_rejected_rows_total"),
 		DeadlineMisses:  reg.Counter("serve_deadline_misses_total"),
 		Unavailable:     reg.Counter("serve_unavailable_total"),
-		InferRowsF64:    reg.Counter("serve_infer_rows_total", "backend", string(infer.KindFloat64)),
-		InferRowsI8:     reg.Counter("serve_infer_rows_total", "backend", string(infer.KindInt8)),
-		InferBatchesF64: reg.Counter("serve_infer_batches_total", "backend", string(infer.KindFloat64)),
-		InferBatchesI8:  reg.Counter("serve_infer_batches_total", "backend", string(infer.KindInt8)),
+		InferRows:       reg.Counter("serve_infer_rows_total"),
+		InferBatches:    reg.Counter("serve_infer_batches_total"),
 		lat:             reg.HistogramBuckets("serve_batch_latency_us", histBuckets),
 		inferRows:       reg.HistogramBuckets("serve_infer_batch_rows", inferRowBuckets),
 		latSLO:          telemetry.NewSLO(reg, "serve-latency", sloLatencyBudget, sloWindow),
@@ -140,17 +135,11 @@ func (m *Metrics) ObserveLevel(level int) {
 	}
 }
 
-// ObserveInfer records one backend inference call: rows rows answered in
-// a single Forward/ForwardBatch by the given backend kind.
-func (m *Metrics) ObserveInfer(kind infer.Kind, rows int) {
-	switch kind {
-	case infer.KindInt8:
-		m.InferRowsI8.Add(int64(rows))
-		m.InferBatchesI8.Add(1)
-	default:
-		m.InferRowsF64.Add(int64(rows))
-		m.InferBatchesF64.Add(1)
-	}
+// ObserveInfer records one kernel call: rows rows answered in a single
+// Forward/ForwardBatch.
+func (m *Metrics) ObserveInfer(rows int) {
+	m.InferRows.Add(int64(rows))
+	m.InferBatches.Add(1)
 	m.inferRows.Observe(int64(rows))
 }
 
@@ -172,14 +161,12 @@ type Snapshot struct {
 	DeadlineMisses  int64 `json:"deadline_misses,omitempty"`
 	Unavailable     int64 `json:"unavailable_503,omitempty"`
 
-	// Inference backend counters. omitempty keeps the pre-backend JSON
-	// shape for snapshots taken before any decision was served.
-	InferRowsFloat64    int64 `json:"infer_rows_float64,omitempty"`
-	InferRowsInt8       int64 `json:"infer_rows_int8,omitempty"`
-	InferBatchesFloat64 int64 `json:"infer_batches_float64,omitempty"`
-	InferBatchesInt8    int64 `json:"infer_batches_int8,omitempty"`
+	// Inference kernel counters. omitempty keeps the idle JSON shape for
+	// snapshots taken before any decision was served.
+	InferRows    int64 `json:"infer_rows,omitempty"`
+	InferBatches int64 `json:"infer_batches,omitempty"`
 
-	// InferBatchRows[i] counts backend calls carrying [2^(i-1), 2^i) rows
+	// InferBatchRows[i] counts kernel calls carrying [2^(i-1), 2^i) rows
 	// (single-row calls land in index 1, multi-row calls in index >= 2).
 	// Present once any inference has run.
 	InferBatchRows []int64 `json:"infer_batch_rows,omitempty"`
@@ -202,28 +189,26 @@ func (m *Metrics) Snapshot(levels int) Snapshot {
 		levels = maxLevels
 	}
 	s := Snapshot{
-		Decisions:           m.Decisions.Load(),
-		Batches:             m.Batches.Load(),
-		Errors:              m.Errors.Load(),
-		Reloads:             m.Reloads.Load(),
-		Conns:               m.Conns.Load(),
-		Rollbacks:           m.Rollbacks.Load(),
-		Fallbacks:           m.Fallbacks.Load(),
-		RecoveredPanics:     m.RecoveredPanics.Load(),
-		RejectedRows:        m.RejectedRows.Load(),
-		DeadlineMisses:      m.DeadlineMisses.Load(),
-		Unavailable:         m.Unavailable.Load(),
-		InferRowsFloat64:    m.InferRowsF64.Load(),
-		InferRowsInt8:       m.InferRowsI8.Load(),
-		InferBatchesFloat64: m.InferBatchesF64.Load(),
-		InferBatchesInt8:    m.InferBatchesI8.Load(),
-		LatencyBucketsUs:    m.lat.Buckets(),
-		LevelCounts:         make([]int64, levels),
+		Decisions:        m.Decisions.Load(),
+		Batches:          m.Batches.Load(),
+		Errors:           m.Errors.Load(),
+		Reloads:          m.Reloads.Load(),
+		Conns:            m.Conns.Load(),
+		Rollbacks:        m.Rollbacks.Load(),
+		Fallbacks:        m.Fallbacks.Load(),
+		RecoveredPanics:  m.RecoveredPanics.Load(),
+		RejectedRows:     m.RejectedRows.Load(),
+		DeadlineMisses:   m.DeadlineMisses.Load(),
+		Unavailable:      m.Unavailable.Load(),
+		InferRows:        m.InferRows.Load(),
+		InferBatches:     m.InferBatches.Load(),
+		LatencyBucketsUs: m.lat.Buckets(),
+		LevelCounts:      make([]int64, levels),
 	}
-	if s.InferBatchesFloat64+s.InferBatchesInt8 > 0 {
+	if s.InferBatches > 0 {
 		// Only attach the batch-size histogram once an inference has run:
 		// omitempty elides nil but not an all-zero slice, and an idle
-		// server must keep emitting the pre-backend JSON byte for byte.
+		// server must keep emitting the idle JSON byte for byte.
 		s.InferBatchRows = m.inferRows.Buckets()
 	}
 	for l := 0; l < levels; l++ {

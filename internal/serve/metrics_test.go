@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -69,5 +70,36 @@ func TestSnapshotShapeUnchanged(t *testing.T) {
 	}
 	if reg.Counters[`serve_level_decisions_total{level="1"}`] != 2 {
 		t.Fatal("per-level counter missing from registry")
+	}
+}
+
+// TestEngineCountsCoalescedFrame: a multi-row frame reaches the batched
+// kernel in one call, and the kernel counters and batch-rows histogram
+// say so.
+func TestEngineCountsCoalescedFrame(t *testing.T) {
+	srv, err := NewServer(testModel(t, 20), Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(21))
+	rows := make([]Request, 8)
+	for i := range rows {
+		rows[i] = Request{Preset: 0.1, Features: featureRow(rng)}
+	}
+	if decs := srv.DecideBatch(rows, nil); len(decs) != len(rows) {
+		t.Fatalf("got %d decisions, want %d", len(decs), len(rows))
+	}
+	snap := srv.Metrics().Snapshot(srv.Model().Levels)
+	if snap.InferRows != int64(len(rows)) || snap.InferBatches != 1 {
+		t.Fatalf("kernel saw %d rows in %d calls, want %d in 1 (the whole frame in one ForwardBatch)",
+			snap.InferRows, snap.InferBatches, len(rows))
+	}
+	// 8 rows in one call lands in bucket [8,16) = index 4; everything
+	// below must be empty or the frame decayed to row-at-a-time.
+	if len(snap.InferBatchRows) == 0 || snap.InferBatchRows[4] != 1 {
+		t.Fatalf("batch-rows histogram %v, want one call in bucket 4", snap.InferBatchRows)
+	}
+	if got := srv.Telemetry().Snapshot().Counters["serve_infer_rows_total"]; got != int64(len(rows)) {
+		t.Fatalf("serve_infer_rows_total = %d, want %d", got, len(rows))
 	}
 }

@@ -495,9 +495,9 @@ func TestBadMagicGetsStructuredError(t *testing.T) {
 	}
 }
 
-// TestVersionMismatchGetsStructuredError sends the hello a v3 peer
-// sends — a v3 header offering versions 2..3 — and expects a typed
-// version refusal.
+// TestVersionMismatchGetsStructuredError sends the hellos a v3 peer
+// (a v3 header offering versions 2..3) and a v4 peer send, and expects
+// a typed version refusal for each.
 func TestVersionMismatchGetsStructuredError(t *testing.T) {
 	srv, err := NewServer(testModel(t, 34), Options{})
 	if err != nil {
@@ -510,24 +510,29 @@ func TestVersionMismatchGetsStructuredError(t *testing.T) {
 	go srv.ServeTCP(l)
 	defer srv.Close()
 
-	conn, err := net.Dial("tcp", l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	hello := append(AppendHelloFrame(nil), 2, 3)
-	hello[4] = 3
-	var pre [4]byte
-	binary.BigEndian.PutUint32(pre[:], uint32(len(hello)))
-	conn.Write(pre[:])
-	conn.Write(hello)
+	for _, v := range []byte{3, 4} {
+		conn, err := net.Dial("tcp", l.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		hello := AppendHelloFrame(nil)
+		if v == 3 {
+			hello = append(hello, 2, 3)
+		}
+		hello[4] = v
+		var pre [4]byte
+		binary.BigEndian.PutUint32(pre[:], uint32(len(hello)))
+		conn.Write(pre[:])
+		conn.Write(hello)
 
-	frame, err := ReadFrame(conn, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pe, err := DecodeErrorFrame(frame); err != nil || pe.Code != ErrCodeVersion {
-		t.Fatalf("got %v, %v; want ProtoError code %d", pe, err, ErrCodeVersion)
+		frame, err := ReadFrame(conn, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pe, err := DecodeErrorFrame(frame); err != nil || pe.Code != ErrCodeVersion {
+			t.Fatalf("v%d hello: got %v, %v; want ProtoError code %d", v, pe, err, ErrCodeVersion)
+		}
 	}
 }
 

@@ -133,10 +133,10 @@ func (s *Server) serveFrame(bw *bufio.Writer, bufs *connBuffers, frame []byte) b
 		// Not our protocol (or a version we do not speak): refuse with a
 		// structured error so the peer does not hang on a silent close.
 	case msgType == MsgHello:
-		// The backend and generation let a fleet router vet a replica
-		// before admitting it to its ring.
+		// The generation tells a fleet router which model a replica serves
+		// before it admits it to its ring.
 		if err = DecodeHelloFrame(frame); err == nil {
-			bufs.out = AppendHelloAckFrame(bufs.out[:0], Hello{Backend: s.BackendKind(), Generation: s.Generation()})
+			bufs.out = AppendHelloAckFrame(bufs.out[:0], Hello{Generation: s.Generation()})
 			return WriteFrame(bw, bufs.out) == nil && bw.Flush() == nil
 		}
 	case msgType == MsgDecide:
@@ -292,7 +292,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	lin := s.Model().Lineage
 	json.NewEncoder(w).Encode(struct {
 		State               string            `json:"state"`
-		Backend             string            `json:"backend"`
 		Generation          int               `json:"generation,omitempty"`
 		ModelSource         string            `json:"model_source,omitempty"`
 		ConsecutiveFailures int64             `json:"consecutive_failures,omitempty"`
@@ -302,7 +301,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Build               map[string]string `json:"build,omitempty"`
 	}{
 		State:               st.String(),
-		Backend:             string(s.BackendKind()),
 		Generation:          lin.Generation,
 		ModelSource:         lin.Source,
 		ConsecutiveFailures: s.health.Failures(),

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"ssmdvfs/internal/counters"
-	"ssmdvfs/internal/infer"
 	"ssmdvfs/internal/provenance"
 	"ssmdvfs/internal/telemetry"
 )
@@ -63,7 +62,6 @@ import (
 //
 //	uint8   flags (HelloFlagRouter; the other bits are reserved)
 //	uint16  shard count (0 for a single daemon)
-//	uint8   serving backend (0 unspecified, 1 float64, 2 int8)
 //	uint32  model lineage generation
 //
 // A frame the server cannot serve — wrong magic, another version, a
@@ -74,10 +72,11 @@ import (
 //
 // Version history: v1 response rows had no reason byte; v2 added it; v3
 // added keyed and traced frames beside the plain ones, negotiated per
-// peer; v4 made the traced keyed layout the only one.
+// peer; v4 made the traced keyed layout the only one; v5 dropped the
+// hello-ack's serving-numerics byte (float64 is the only served path).
 const (
 	Magic   = 0x53445646 // "SDVF"
-	Version = 4
+	Version = 5
 
 	// Message types. 3, 4, 8 and 9 were v3's keyed and traced variants.
 	MsgDecide    = 1
@@ -105,7 +104,7 @@ const (
 	reqRowFixed = 4 + 4 + 8         // gpu, cluster, preset
 	respPrefix  = 1 + 8 + 4*4 + 2   // status, trace ID, hops, count
 	respRow     = 1 + 1 + 1 + 2 + 8
-	ackBody     = 1 + 2 + 1 + 4
+	ackBody     = 1 + 2 + 4
 	maxErrMsg   = 512
 
 	decFlagRerouted = 1
@@ -120,29 +119,15 @@ const (
 )
 
 // Hello is a peer's hello-ack: the protocol version, whether the peer is
-// a router and (for routers) its shard count, the inference backend the
-// peer serves with, and the lineage generation of the model it is
-// serving (0 for an unversioned offline artifact). Every peer at this
+// a router and (for routers) its shard count, and the lineage generation
+// of the model it is serving (0 for an unversioned offline artifact). Every peer at this
 // version accepts traced frames, so a decoded ack always has Tracing set.
 type Hello struct {
 	Version    int
 	Router     bool
 	Tracing    bool
 	Shards     int
-	Backend    infer.Kind
 	Generation int
-}
-
-// backendKinds indexes the hello-ack backend byte; code 0 is unspecified.
-var backendKinds = [...]infer.Kind{"", infer.KindFloat64, infer.KindInt8}
-
-func backendCode(k infer.Kind) byte {
-	for c, kind := range backendKinds {
-		if kind == k {
-			return byte(c)
-		}
-	}
-	return 0
 }
 
 // HopTimings is the per-hop latency attribution a traced response
@@ -508,8 +493,7 @@ func AppendHelloAckFrame(dst []byte, h Hello) []byte {
 		b[6] = HelloFlagRouter
 	}
 	binary.BigEndian.PutUint16(b[7:], uint16(h.Shards))
-	b[9] = backendCode(h.Backend)
-	binary.BigEndian.PutUint32(b[10:], uint32(h.Generation))
+	binary.BigEndian.PutUint32(b[9:], uint32(h.Generation))
 	return dst
 }
 
@@ -525,16 +509,12 @@ func DecodeHelloAckFrame(payload []byte) (Hello, error) {
 	if payload[6]&^HelloFlagRouter != 0 {
 		return Hello{}, fmt.Errorf("serve: hello-ack sets reserved flags %#x", payload[6])
 	}
-	if int(payload[9]) >= len(backendKinds) {
-		return Hello{}, fmt.Errorf("serve: hello-ack names unknown backend code %d", payload[9])
-	}
 	return Hello{
 		Version:    Version,
 		Router:     payload[6] != 0,
 		Tracing:    true,
 		Shards:     int(binary.BigEndian.Uint16(payload[7:])),
-		Backend:    backendKinds[payload[9]],
-		Generation: int(binary.BigEndian.Uint32(payload[10:])),
+		Generation: int(binary.BigEndian.Uint32(payload[9:])),
 	}, nil
 }
 

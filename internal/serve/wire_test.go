@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"ssmdvfs/internal/counters"
-	"ssmdvfs/internal/infer"
 	"ssmdvfs/internal/provenance"
 	"ssmdvfs/internal/telemetry"
 )
@@ -96,13 +95,16 @@ func wireResponses() []wireResponse {
 }
 
 // wireHandshakes is the handshake table — hello, hello-ack and error
-// frames; it seeds FuzzDecodeHandshake.
+// frames, plus a v4 peer's 8-byte-body ack; it seeds FuzzDecodeHandshake.
 func wireHandshakes() [][]byte {
+	v4Ack := append(AppendHelloAckFrame(nil, Hello{Generation: 3}), 0)
+	v4Ack[4] = 4
 	return [][]byte{
 		AppendHelloFrame(nil),
-		AppendHelloAckFrame(nil, Hello{Backend: infer.KindInt8, Generation: 3}),
+		v4Ack,
+		AppendHelloAckFrame(nil, Hello{Generation: 3}),
 		AppendHelloAckFrame(nil, Hello{Router: true, Shards: 3}),
-		AppendHelloAckFrame(nil, Hello{Shards: 0xffff, Backend: infer.KindFloat64, Generation: math.MaxUint32}),
+		AppendHelloAckFrame(nil, Hello{Shards: 0xffff, Generation: math.MaxUint32}),
 		AppendErrorFrame(nil, ErrCodeBadMagic, "bad magic 0x47455420"),
 		AppendErrorFrame(nil, ErrCodeVersion, ""),
 		AppendErrorFrame(nil, 0xffff, strings.Repeat("x", maxErrMsg)),
@@ -290,7 +292,7 @@ func TestHandshakeFrameRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, h := range []Hello{
-		{Version: Version, Tracing: true, Backend: infer.KindInt8, Generation: 3},
+		{Version: Version, Tracing: true, Generation: 3},
 		{Version: Version, Tracing: true, Router: true, Shards: 3},
 	} {
 		got, err := DecodeHelloAckFrame(AppendHelloAckFrame(nil, h))
@@ -361,7 +363,7 @@ func TestDecodeRejectsCorruptFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	goodAck := AppendHelloAckFrame(nil, Hello{Backend: infer.KindFloat64})
+	goodAck := AppendHelloAckFrame(nil, Hello{Generation: 1})
 	goodErr := AppendErrorFrame(nil, ErrCodeBadFrame, "nope")
 	mutate := func(src []byte, f func([]byte)) []byte {
 		b := append([]byte(nil), src...)
@@ -395,10 +397,11 @@ func TestDecodeRejectsCorruptFrames(t *testing.T) {
 		{"resp reserved row flag", mutate(goodResp, func(b []byte) { b[headerLen+respPrefix+2] = 2 }), decodeResp},
 		{"hello with a body", extra(AppendHelloFrame(nil)), DecodeHelloFrame},
 		{"hello from a v3 peer", mutate(AppendHelloFrame(nil), func(b []byte) { b[4] = 3 }), DecodeHelloFrame},
+		{"hello from a v4 peer", mutate(AppendHelloFrame(nil), func(b []byte) { b[4] = 4 }), DecodeHelloFrame},
 		{"ack legacy length", goodAck[:headerLen+4], decodeAck},
 		{"ack extra byte", extra(goodAck), decodeAck},
 		{"ack reserved flag", mutate(goodAck, func(b []byte) { b[6] = 2 }), decodeAck},
-		{"ack unknown backend", mutate(goodAck, func(b []byte) { b[9] = 3 }), decodeAck},
+		{"ack from a v4 peer", append(mutate(goodAck, func(b []byte) { b[4] = 4 }), 0), decodeAck},
 		{"error truncated", goodErr[:len(goodErr)-1], decodeErr},
 		{"error extra byte", extra(goodErr), decodeErr},
 		{"error overlong message", mutate(append(goodErr, make([]byte, maxErrMsg)...), func(b []byte) {

@@ -2,15 +2,15 @@
 # bench_guard.sh — decisions/sec/core regression guard.
 #
 # Runs BenchmarkServe_DecisionThroughput (loopback TCP, one connection
-# per core) and compares the batched backends' throughput against the
-# row-at-a-time float64/batch1 configuration — the seed serving shape —
+# per core) and compares the batched configurations' throughput against
+# the row-at-a-time batch1 configuration — the seed serving shape —
 # measured in the same run. Guarding the speedup ratio instead of raw
 # decisions/s keeps the check meaningful on any runner hardware: a slow
 # CI box slows numerator and denominator together.
 #
 # Against testdata/bench_baseline.json it enforces:
-#   1. int8 coalesced batches of 8 stay >= min_speedup_int8_batch8
-#      (the PR acceptance floor, never relaxed), and
+#   1. coalesced batches of 8 stay >= min_speedup_float64_batch8
+#      (the acceptance floor, never relaxed), and
 #   2. every tracked speedup stays within `tolerance` (default 10%) of
 #      its committed baseline_* value.
 #
@@ -42,11 +42,10 @@ jget() {
 
 # Sub-benchmark names carry a -GOMAXPROCS suffix only on multi-proc
 # runs, so accept both forms.
-f64b1=$(rate 'backend=float64/batch1(-[0-9]+)?$')
-f64b64=$(rate 'backend=float64/batch64(-[0-9]+)?$')
-i8b8=$(rate 'backend=int8/batch8(-[0-9]+)?$')
-i8b64=$(rate 'backend=int8/batch64(-[0-9]+)?$')
-for v in "$f64b1" "$f64b64" "$i8b8" "$i8b64"; do
+b1=$(rate '/batch1(-[0-9]+)?$')
+b8=$(rate '/batch8(-[0-9]+)?$')
+b64=$(rate '/batch64(-[0-9]+)?$')
+for v in "$b1" "$b8" "$b64"; do
   if [ -z "$v" ]; then
     echo "bench_guard: missing decisions/s metric in benchmark output" >&2
     exit 1
@@ -54,30 +53,26 @@ for v in "$f64b1" "$f64b64" "$i8b8" "$i8b64"; do
 done
 
 speedup() { awk -v a="$1" -v b="$2" 'BEGIN { printf "%.2f", a / b }'; }
-s_i8b8=$(speedup "$i8b8" "$f64b1")
-s_i8b64=$(speedup "$i8b64" "$f64b1")
-s_f64b64=$(speedup "$f64b64" "$f64b1")
+s8=$(speedup "$b8" "$b1")
+s64=$(speedup "$b64" "$b1")
 
-echo "bench_guard: row-at-a-time float64/batch1 = $f64b1 decisions/s/core"
-echo "bench_guard: speedup int8/batch8    = ${s_i8b8}x"
-echo "bench_guard: speedup int8/batch64   = ${s_i8b64}x"
-echo "bench_guard: speedup float64/batch64 = ${s_f64b64}x"
+echo "bench_guard: row-at-a-time float64/batch1 = $b1 decisions/s/core"
+echo "bench_guard: speedup float64/batch8  = ${s8}x"
+echo "bench_guard: speedup float64/batch64 = ${s64}x"
 
 if [ "${1:-}" = "-update" ]; then
   tmp=$(mktemp)
-  sed -e 's/\("baseline_speedup_int8_batch8": *\)[0-9.]*/\1'"$s_i8b8"'/' \
-      -e 's/\("baseline_speedup_int8_batch64": *\)[0-9.]*/\1'"$s_i8b64"'/' \
-      -e 's/\("baseline_speedup_float64_batch64": *\)[0-9.]*/\1'"$s_f64b64"'/' \
+  sed -e 's/\("baseline_speedup_float64_batch8": *\)[0-9.]*/\1'"$s8"'/' \
+      -e 's/\("baseline_speedup_float64_batch64": *\)[0-9.]*/\1'"$s64"'/' \
       "$BASELINE" > "$tmp"
   mv "$tmp" "$BASELINE"
   echo "bench_guard: baselines updated in $BASELINE"
   exit 0
 fi
 
-min_s8=$(jget min_speedup_int8_batch8)
-base_s8=$(jget baseline_speedup_int8_batch8)
-base_s64=$(jget baseline_speedup_int8_batch64)
-base_f64=$(jget baseline_speedup_float64_batch64)
+min_s8=$(jget min_speedup_float64_batch8)
+base_s8=$(jget baseline_speedup_float64_batch8)
+base_s64=$(jget baseline_speedup_float64_batch64)
 tol=$(jget tolerance)
 
 fail=0
@@ -90,10 +85,9 @@ at_least() {
 }
 floor() { awk -v b="$1" -v t="$2" 'BEGIN { printf "%.2f", b * (1 - t) }'; }
 
-at_least "int8/batch8 acceptance speedup" "$s_i8b8" "$min_s8"
-at_least "int8/batch8 speedup vs baseline" "$s_i8b8" "$(floor "$base_s8" "$tol")"
-at_least "int8/batch64 speedup vs baseline" "$s_i8b64" "$(floor "$base_s64" "$tol")"
-at_least "float64/batch64 speedup vs baseline" "$s_f64b64" "$(floor "$base_f64" "$tol")"
+at_least "float64/batch8 acceptance speedup" "$s8" "$min_s8"
+at_least "float64/batch8 speedup vs baseline" "$s8" "$(floor "$base_s8" "$tol")"
+at_least "float64/batch64 speedup vs baseline" "$s64" "$(floor "$base_s64" "$tol")"
 
 if [ "$fail" -ne 0 ]; then
   echo "bench_guard: decisions/sec/core regressed >$(awk -v t="$tol" 'BEGIN { printf "%.0f", t*100 }')% vs $BASELINE" >&2
