@@ -418,30 +418,44 @@ func BenchmarkAblation_Domain(b *testing.B) {
 
 // --- microbenchmarks --------------------------------------------------------
 
-// BenchmarkSimulatorThroughput measures raw simulation speed in simulated
-// nanoseconds per wall second (reported as sim_ns/op for one 10 µs epoch).
+// BenchmarkSimulatorThroughput measures raw simulation speed: one op is
+// one simulated 10 µs epoch, also reported as epochs/s. The compute
+// sub-benchmark (polybench.gemm) issues on almost every cycle; membound
+// (rodinia.bfs) leaves about 90 % of cycles idle, which the simulator
+// skips in bulk.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	opts := benchOpts()
-	spec := kernels.Training()[0]
-	k := spec.Build(1.0)
-	sim, err := gpusim.New(opts.Sim, k)
-	if err != nil {
-		b.Fatal(err)
-	}
-	target := int64(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		target += 10_000_000 // one epoch
-		sim.RunUntil(target)
-		if sim.Done() {
-			b.StopTimer()
-			sim, err = gpusim.New(opts.Sim, k)
+	for _, c := range []struct{ name, kernel string }{
+		{"compute", "polybench.gemm"},
+		{"membound", "rodinia.bfs"},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			spec, err := kernels.ByName(c.kernel)
 			if err != nil {
 				b.Fatal(err)
 			}
-			target = 0
-			b.StartTimer()
-		}
+			k := spec.Build(1.0)
+			sim, err := gpusim.New(opts.Sim, k)
+			if err != nil {
+				b.Fatal(err)
+			}
+			target := int64(0)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				target += opts.Sim.EpochPs
+				sim.RunUntil(target)
+				if sim.Done() {
+					b.StopTimer()
+					sim, err = gpusim.New(opts.Sim, k)
+					if err != nil {
+						b.Fatal(err)
+					}
+					target = 0
+					b.StartTimer()
+				}
+			}
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "epochs/s")
+		})
 	}
 }
 

@@ -1,6 +1,8 @@
 package gpusim
 
 import (
+	"math"
+
 	"ssmdvfs/internal/clockdomain"
 	"ssmdvfs/internal/isa"
 )
@@ -114,7 +116,8 @@ const (
 // tryIssue checks whether warp w can issue at nowPs given the remaining
 // per-cycle unit budgets, and if so performs the issue (updating the
 // scoreboard, caches, and memory system). It returns the stall reason on
-// failure and stallNone on success.
+// failure and stallNone on success. idleAt relies on the order of the
+// checks.
 func (c *cluster) tryIssue(w *warp, mem *memSystem, nowPs int64, aluLeft, sfuLeft, lsuLeft *int) stallReason {
 	if nowPs < w.nextEligiblePs {
 		return stallControlR
@@ -269,15 +272,16 @@ func (c *cluster) accessStore(w *warp, ins *isa.Instruction, mem *memSystem, now
 }
 
 // step executes one clock cycle of the cluster at its current time and
-// advances the cluster clock by one period.
-func (c *cluster) step(mem *memSystem) {
+// advances the cluster clock by one period. It reports whether the cycle
+// issued nothing, for fastForward to repeat.
+func (c *cluster) step(mem *memSystem) (idle bool) {
 	nowPs := c.nowPs
 	c.acc.cycles++
 
 	if c.domain.Stalled(nowPs) {
 		c.acc.dvfsStall++
 		c.nowPs += c.domain.PeriodPs()
-		return
+		return true
 	}
 
 	c.drainQueues(nowPs)
@@ -340,6 +344,101 @@ func (c *cluster) step(mem *memSystem) {
 		c.done = true
 	}
 	c.nowPs += c.domain.PeriodPs()
+	return !issuedAny
+}
+
+// idleCycle is one cycle that issued nothing: the stall tallies it added
+// and wakePs, the earliest time at which a later cycle could go
+// differently. Every tick before wakePs repeats it exactly.
+type idleCycle struct {
+	wakePs int64
+
+	stallMemLoad  int64
+	stallMemOther int64
+	stallCompute  int64
+	stallControl  int64
+	dvfsStall     int64
+}
+
+// idleAt rebuilds the cycle that issued nothing at nowPs from the state
+// it left. An idle cycle writes only cluster-private counters, and each
+// unfinished warp stays blocked by the first check of tryIssue that
+// failed, with the same stall reason, until that check's threshold
+// passes: its branch refill (nextEligiblePs), or the scoreboard release
+// of the first pending register of its current instruction. A warp that
+// passed both was refused an MSHR (global load) or a store-queue slot
+// (store): every unit is free in an idle cycle, so nothing else refuses.
+// That slot frees when the earliest entry of its queue completes. With
+// no threshold left nothing will change, and the wake time is never.
+// The checks mirror tryIssue's order; a change there must change this.
+func (c *cluster) idleAt(nowPs int64) idleCycle {
+	if c.domain.Stalled(nowPs) {
+		return idleCycle{wakePs: c.domain.StallUntilPs(), dvfsStall: 1}
+	}
+	ic := idleCycle{wakePs: math.MaxInt64}
+	var loadSlot, storeSlot bool
+warps:
+	for i := range c.warps {
+		w := &c.warps[i]
+		if w.finished {
+			continue
+		}
+		if w.nextEligiblePs > nowPs {
+			ic.stallControl++
+			ic.wakePs = min(ic.wakePs, w.nextEligiblePs)
+			continue
+		}
+		ins := w.current()
+		for _, r := range [...]isa.Reg{ins.SrcA, ins.SrcB, ins.Dst} {
+			if t := w.regReadyPs[r]; r != 0 && t > nowPs {
+				if w.regFromLoad[r] {
+					ic.stallMemLoad++
+				} else {
+					ic.stallCompute++
+				}
+				ic.wakePs = min(ic.wakePs, t)
+				continue warps
+			}
+		}
+		ic.stallMemOther++
+		if ins.Op == isa.OpLoadGlobal {
+			loadSlot = true
+		} else {
+			storeSlot = true
+		}
+	}
+	if loadSlot {
+		for _, t := range c.outstandingLoads {
+			ic.wakePs = min(ic.wakePs, t)
+		}
+	}
+	if storeSlot {
+		for _, t := range c.outstandingStores {
+			ic.wakePs = min(ic.wakePs, t)
+		}
+	}
+	return ic
+}
+
+// fastForward follows a step that issued nothing: it repeats that cycle
+// for every further tick before both its wake time and limitPs, adding
+// its counters k times at once. Only the idle path pays for it; a cycle
+// that issued goes on at cycle rate.
+func (c *cluster) fastForward(limitPs int64) {
+	period := c.domain.PeriodPs()
+	idle := c.idleAt(c.nowPs - period)
+	until := min(idle.wakePs, limitPs)
+	if c.nowPs >= until {
+		return
+	}
+	k := (until - c.nowPs + period - 1) / period
+	c.nowPs += k * period
+	c.acc.cycles += k
+	c.acc.stallMemLoad += k * idle.stallMemLoad
+	c.acc.stallMemOther += k * idle.stallMemOther
+	c.acc.stallCompute += k * idle.stallCompute
+	c.acc.stallControl += k * idle.stallControl
+	c.acc.dvfsStall += k * idle.dvfsStall
 }
 
 // clone deep-copies the cluster for simulator snapshots.

@@ -225,7 +225,8 @@ func (s *Simulator) RunUntil(targetPs int64) {
 		if next == nil {
 			return // all finished
 		}
-		if end := s.epochEndPs(); next.nowPs >= end {
+		end := s.epochEndPs()
+		if next.nowPs >= end {
 			if end > targetPs {
 				return
 			}
@@ -235,7 +236,13 @@ func (s *Simulator) RunUntil(targetPs int64) {
 		if next.nowPs >= targetPs {
 			return
 		}
-		next.step(s.mem)
+		// An idle tick touches nothing shared, so running the cluster's
+		// repeats of it ahead of other clusters' ticks is exact. Stopping
+		// before the epoch end and the target keeps finalizeEpoch, the
+		// controller calls and snapshots where they were.
+		if next.step(s.mem) {
+			next.fastForward(min(end, targetPs))
+		}
 		if next.done && next.lastFinishPs > s.lastFinishPs {
 			s.lastFinishPs = next.lastFinishPs
 		}

@@ -3,6 +3,7 @@ package gpusim
 import (
 	"testing"
 
+	"ssmdvfs/internal/clockdomain"
 	"ssmdvfs/internal/isa"
 )
 
@@ -601,5 +602,57 @@ func TestEpochStatsInvariants(t *testing.T) {
 	res := sim.Run(testMaxPs)
 	if !res.Completed || checked == 0 {
 		t.Fatalf("completed=%v epochs checked=%d", res.Completed, checked)
+	}
+}
+
+// TestRunUntilStopsAtTarget pins the bound the differential test in
+// internal/kernels cannot see, because its stepped reference shares it:
+// however long a cluster sits idle, RunUntil leaves every unfinished
+// cluster on its first tick at or after the target, so a Clone and
+// ForceLevel there change the ticks that follow.
+func TestRunUntilStopsAtTarget(t *testing.T) {
+	sim, err := New(tinyConfig(), memoryTestKernel(400))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for target := int64(123_457); !sim.Done(); target += 1_234_567 {
+		sim.RunUntil(target)
+		for i, c := range sim.clusters {
+			if !c.done && (c.nowPs < target || c.nowPs >= target+c.domain.PeriodPs()) {
+				t.Fatalf("cluster %d at %d ps after RunUntil(%d), period %d ps", i, c.nowPs, target, c.domain.PeriodPs())
+			}
+		}
+	}
+}
+
+// TestIVRStallCyclesExact checks the stall tally on a table whose
+// periods divide the IVR settle time, so a tick lands exactly on the end
+// of the stall: that tick runs, it is not a stall cycle.
+func TestIVRStallCyclesExact(t *testing.T) {
+	tbl, err := clockdomain.NewTable([]clockdomain.OperatingPoint{
+		{VoltageV: 1.0, FrequencyHz: 500e6},
+		{VoltageV: 1.1, FrequencyHz: 1000e6},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := tinyConfig()
+	cfg.OPs = tbl
+	sim, err := New(cfg, memoryTestKernel(400))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats []EpochStats
+	sim.SetObserver(func(s EpochStats) { stats = append(stats, s) })
+	sim.ForceLevel(0)
+	sim.RunUntil(cfg.EpochPs)
+	want := cfg.IVR.VoltageSettlePs / tbl.Point(0).PeriodPs()
+	if len(stats) != cfg.Clusters {
+		t.Fatalf("observed %d snapshots, want %d", len(stats), cfg.Clusters)
+	}
+	for _, s := range stats {
+		if s.DVFSStall != want {
+			t.Fatalf("cluster %d: %d IVR stall cycles, want %d", s.Cluster, s.DVFSStall, want)
+		}
 	}
 }
