@@ -9,15 +9,12 @@ type cache struct {
 	lineShift uint
 	setMask   uint64
 
-	// tags[set*ways+way] holds the line tag; valid[..] its validity.
-	tags  []uint64
-	valid []bool
-	// lru[set*ways+way] is a recency stamp; larger = more recent.
+	// tags[set*ways+way] holds the line tag.
+	tags []uint64
+	// lru[set*ways+way] is a recency stamp; larger = more recent. Stamps
+	// start at 1, so 0 marks an empty way.
 	lru   []uint64
 	stamp uint64
-
-	hits   int64
-	misses int64
 }
 
 func log2i(v int) uint {
@@ -37,88 +34,39 @@ func newCache(cfg CacheConfig) *cache {
 		lineShift: log2i(cfg.LineBytes),
 		setMask:   uint64(cfg.Sets - 1),
 		tags:      make([]uint64, n),
-		valid:     make([]bool, n),
 		lru:       make([]uint64, n),
 	}
 }
 
-// lookup probes the cache for the line containing addr, updating LRU on a
-// hit. It does not allocate on a miss; callers decide allocation policy.
-func (c *cache) lookup(addr uint64) bool {
+// access looks up the line containing addr and reports whether it hit. A
+// hit refreshes the line's recency; a miss allocates the line over the
+// way with the smallest stamp, first index on ties, in the same scan.
+// Empty ways have stamp 0, so that is the first empty way, else the LRU.
+func (c *cache) access(addr uint64) (hit bool) {
 	line := addr >> c.lineShift
-	set := int(line & c.setMask)
-	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		if c.valid[base+w] && c.tags[base+w] == line {
-			c.stamp++
-			c.lru[base+w] = c.stamp
-			c.hits++
-			return true
-		}
-	}
-	c.misses++
-	return false
-}
-
-// fill inserts the line containing addr, evicting the LRU way if needed.
-func (c *cache) fill(addr uint64) {
-	line := addr >> c.lineShift
-	set := int(line & c.setMask)
-	base := set * c.ways
-	victim := base
-	for w := 0; w < c.ways; w++ {
-		i := base + w
-		if !c.valid[i] {
-			victim = i
-			break
-		}
-		if c.lru[i] < c.lru[victim] {
-			victim = i
-		}
-	}
+	base := int(line&c.setMask) * c.ways
+	tags := c.tags[base : base+c.ways]
+	lru := c.lru[base:][:len(tags)]
 	c.stamp++
-	c.tags[victim] = line
-	c.valid[victim] = true
-	c.lru[victim] = c.stamp
-}
-
-// contains probes without touching LRU or hit/miss counters (test helper).
-func (c *cache) contains(addr uint64) bool {
-	line := addr >> c.lineShift
-	set := int(line & c.setMask)
-	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		if c.valid[base+w] && c.tags[base+w] == line {
+	victim := 0
+	for w, tag := range tags {
+		if tag == line && lru[w] != 0 {
+			lru[w] = c.stamp
 			return true
 		}
+		if lru[w] < lru[victim] {
+			victim = w
+		}
 	}
+	tags[victim] = line
+	lru[victim] = c.stamp
 	return false
-}
-
-// reset clears contents and statistics.
-func (c *cache) reset() {
-	for i := range c.valid {
-		c.valid[i] = false
-		c.lru[i] = 0
-	}
-	c.stamp = 0
-	c.hits = 0
-	c.misses = 0
 }
 
 // clone returns a deep copy (for simulator state snapshots).
 func (c *cache) clone() *cache {
-	cp := &cache{
-		sets:      c.sets,
-		ways:      c.ways,
-		lineShift: c.lineShift,
-		setMask:   c.setMask,
-		tags:      append([]uint64(nil), c.tags...),
-		valid:     append([]bool(nil), c.valid...),
-		lru:       append([]uint64(nil), c.lru...),
-		stamp:     c.stamp,
-		hits:      c.hits,
-		misses:    c.misses,
-	}
-	return cp
+	cp := *c
+	cp.tags = append([]uint64(nil), c.tags...)
+	cp.lru = append([]uint64(nil), c.lru...)
+	return &cp
 }

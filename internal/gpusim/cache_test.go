@@ -6,30 +6,38 @@ import (
 	"testing/quick"
 )
 
+// contains probes without touching LRU state.
+func (c *cache) contains(addr uint64) bool {
+	line := addr >> c.lineShift
+	base := int(line&c.setMask) * c.ways
+	for w := 0; w < c.ways; w++ {
+		if c.lru[base+w] != 0 && c.tags[base+w] == line {
+			return true
+		}
+	}
+	return false
+}
+
 func TestCacheHitAfterFill(t *testing.T) {
 	c := newCache(CacheConfig{Sets: 4, Ways: 2, LineBytes: 64})
 	addr := uint64(0x1000)
-	if c.lookup(addr) {
+	if c.access(addr) {
 		t.Fatal("empty cache must miss")
 	}
-	c.fill(addr)
-	if !c.lookup(addr) {
-		t.Fatal("filled line must hit")
-	}
-	if c.hits != 1 || c.misses != 1 {
-		t.Fatalf("hits=%d misses=%d, want 1/1", c.hits, c.misses)
+	if !c.access(addr) {
+		t.Fatal("line filled by the miss must hit")
 	}
 }
 
 func TestCacheSameLineDifferentOffsets(t *testing.T) {
 	c := newCache(CacheConfig{Sets: 4, Ways: 2, LineBytes: 64})
-	c.fill(0x1000)
+	c.access(0x1000)
 	for off := uint64(0); off < 64; off += 8 {
-		if !c.lookup(0x1000 + off) {
+		if !c.access(0x1000 + off) {
 			t.Fatalf("offset %d within the filled line missed", off)
 		}
 	}
-	if c.lookup(0x1040) {
+	if c.access(0x1040) {
 		t.Fatal("next line must miss")
 	}
 }
@@ -38,10 +46,14 @@ func TestCacheLRUEviction(t *testing.T) {
 	// 1 set, 2 ways: the set holds exactly two lines.
 	c := newCache(CacheConfig{Sets: 1, Ways: 2, LineBytes: 64})
 	a, b, d := uint64(0), uint64(64), uint64(128)
-	c.fill(a)
-	c.fill(b)
-	c.lookup(a) // a is now most recent
-	c.fill(d)   // must evict b (LRU)
+	c.access(a)
+	c.access(b)
+	if !c.access(a) { // a is now most recent
+		t.Fatal("line a missed before any eviction")
+	}
+	if c.access(d) { // must evict b (LRU)
+		t.Fatal("line d hit before it was filled")
+	}
 	if !c.contains(a) {
 		t.Fatal("recently used line a was evicted")
 	}
@@ -57,7 +69,7 @@ func TestCacheSetIndexing(t *testing.T) {
 	c := newCache(CacheConfig{Sets: 4, Ways: 1, LineBytes: 64})
 	// Lines 0,1,2,3 map to different sets: all four fit despite 1 way.
 	for i := uint64(0); i < 4; i++ {
-		c.fill(i * 64)
+		c.access(i * 64)
 	}
 	for i := uint64(0); i < 4; i++ {
 		if !c.contains(i * 64) {
@@ -65,30 +77,17 @@ func TestCacheSetIndexing(t *testing.T) {
 		}
 	}
 	// Line 4 aliases set 0 and evicts line 0.
-	c.fill(4 * 64)
+	c.access(4 * 64)
 	if c.contains(0) {
 		t.Fatal("aliased line not evicted from 1-way set")
 	}
 }
 
-func TestCacheReset(t *testing.T) {
-	c := newCache(CacheConfig{Sets: 4, Ways: 2, LineBytes: 64})
-	c.fill(0x40)
-	c.lookup(0x40)
-	c.reset()
-	if c.contains(0x40) {
-		t.Fatal("reset cache still contains a line")
-	}
-	if c.hits != 0 || c.misses != 0 {
-		t.Fatal("reset did not clear statistics")
-	}
-}
-
 func TestCacheCloneIndependence(t *testing.T) {
 	c := newCache(CacheConfig{Sets: 4, Ways: 2, LineBytes: 64})
-	c.fill(0x80)
+	c.access(0x80)
 	cp := c.clone()
-	cp.fill(0x10000)
+	cp.access(0x10000)
 	if c.contains(0x10000) {
 		t.Fatal("clone mutation leaked into original")
 	}
@@ -98,20 +97,19 @@ func TestCacheCloneIndependence(t *testing.T) {
 }
 
 // TestCacheNeverExceedsCapacity checks the structural invariant that a
-// set never holds more valid lines than it has ways, under random fills.
+// set never holds more valid lines than it has ways, under random
+// accesses.
 func TestCacheNeverExceedsCapacity(t *testing.T) {
 	cfg := CacheConfig{Sets: 8, Ways: 2, LineBytes: 64}
 	f := func(addrs []uint32) bool {
 		c := newCache(cfg)
 		for _, a := range addrs {
-			if !c.lookup(uint64(a)) {
-				c.fill(uint64(a))
-			}
+			c.access(uint64(a))
 		}
-		// Count valid lines per set.
+		// Count valid (stamped) lines per set.
 		counts := make(map[int]int)
-		for i, v := range c.valid {
-			if v {
+		for i, stamp := range c.lru {
+			if stamp != 0 {
 				counts[i/cfg.Ways]++
 			}
 		}
@@ -127,15 +125,15 @@ func TestCacheNeverExceedsCapacity(t *testing.T) {
 	}
 }
 
-// TestCacheInclusionProperty: a line just filled is always present until
-// at least Ways further distinct fills to the same set occur.
+// TestCacheInclusionProperty: a line just accessed is always present
+// afterwards, whether it hit or was allocated by the miss.
 func TestCacheInclusionProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		c := newCache(CacheConfig{Sets: 4, Ways: 4, LineBytes: 64})
 		for i := 0; i < 100; i++ {
 			a := uint64(rng.Intn(1 << 14))
-			c.fill(a)
+			c.access(a)
 			if !c.contains(a) {
 				return false
 			}
@@ -144,6 +142,94 @@ func TestCacheInclusionProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50, Rand: rand.New(rand.NewSource(6))}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refCache is the two-pass reference LRU cache: lookup probes and
+// refreshes a hit; fill then allocates over the first invalid way, else
+// the least recently used one.
+type refCache struct {
+	ways      int
+	lineShift uint
+	setMask   uint64
+	tags      []uint64
+	valid     []bool
+	lru       []uint64
+	stamp     uint64
+}
+
+func newRefCache(cfg CacheConfig) *refCache {
+	n := cfg.Sets * cfg.Ways
+	return &refCache{ways: cfg.Ways, lineShift: log2i(cfg.LineBytes), setMask: uint64(cfg.Sets - 1),
+		tags: make([]uint64, n), valid: make([]bool, n), lru: make([]uint64, n)}
+}
+
+func (r *refCache) lookup(addr uint64) bool {
+	line := addr >> r.lineShift
+	base := int(line&r.setMask) * r.ways
+	for w := 0; w < r.ways; w++ {
+		if r.valid[base+w] && r.tags[base+w] == line {
+			r.stamp++
+			r.lru[base+w] = r.stamp
+			return true
+		}
+	}
+	return false
+}
+
+func (r *refCache) fill(addr uint64) {
+	line := addr >> r.lineShift
+	base := int(line&r.setMask) * r.ways
+	victim := base
+	for w := 0; w < r.ways; w++ {
+		i := base + w
+		if !r.valid[i] {
+			victim = i
+			break
+		}
+		if r.lru[i] < r.lru[victim] {
+			victim = i
+		}
+	}
+	r.stamp++
+	r.tags[victim] = line
+	r.valid[victim] = true
+	r.lru[victim] = r.stamp
+}
+
+// TestCacheAccessMatchesTwoPassReference drives access and the reference
+// lookup-then-fill model with the same random address streams and
+// checks every hit/miss verdict and the final contents, way by way. The
+// streams draw from a pool of a few times the cache's lines, so they
+// repeat lines, hit, fill empty ways and evict.
+func TestCacheAccessMatchesTwoPassReference(t *testing.T) {
+	for _, cfg := range []CacheConfig{
+		{Sets: 16, Ways: 1, LineBytes: 64},
+		{Sets: 64, Ways: 4, LineBytes: 64},  // L1
+		{Sets: 512, Ways: 8, LineBytes: 64}, // SmallConfig L2
+	} {
+		lines := cfg.Sets * cfg.Ways
+		for seed := int64(1); seed <= 4; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			c, ref := newCache(cfg), newRefCache(cfg)
+			pool := lines * int(seed)
+			for i := 0; i < 20*lines; i++ {
+				addr := uint64(rng.Intn(pool))*uint64(cfg.LineBytes) + uint64(rng.Intn(cfg.LineBytes))
+				want := ref.lookup(addr)
+				if !want {
+					ref.fill(addr)
+				}
+				if got := c.access(addr); got != want {
+					t.Fatalf("%dx%d seed %d access %d (%#x): hit=%v, reference %v", cfg.Sets, cfg.Ways, seed, i, addr, got, want)
+				}
+			}
+			for i := range ref.tags {
+				if (c.lru[i] != 0) != ref.valid[i] || ref.valid[i] && (c.tags[i] != ref.tags[i] || c.lru[i] != ref.lru[i]) {
+					t.Fatalf("%dx%d seed %d way %d: tag %#x stamp %d, reference tag %#x stamp %d valid %v",
+						cfg.Sets, cfg.Ways, seed, i, c.tags[i], c.lru[i], ref.tags[i], ref.lru[i], ref.valid[i])
+				}
+			}
+		}
 	}
 }
 

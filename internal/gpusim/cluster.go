@@ -48,7 +48,8 @@ type cluster struct {
 	// greedyWarp is the last successfully issuing warp (GTO policy).
 	greedyWarp int
 
-	// Completion times of outstanding load misses / queued stores.
+	// Completion times of outstanding load misses / queued stores. Entries
+	// that completed stay until a full-looking queue is drained.
 	outstandingLoads  []int64
 	outstandingStores []int64
 
@@ -84,21 +85,22 @@ func newCluster(id int, cfg *Config, kernel *isa.Kernel) *cluster {
 	return c
 }
 
-// drainQueues removes completed entries from the outstanding-load and
-// outstanding-store queues.
-func (c *cluster) drainQueues(nowPs int64) {
-	c.outstandingLoads = drainDone(c.outstandingLoads, nowPs)
-	c.outstandingStores = drainDone(c.outstandingStores, nowPs)
-}
-
-func drainDone(q []int64, nowPs int64) []int64 {
-	out := q[:0]
-	for _, t := range q {
+// queueFull reports whether queue *q has no free slot under limit at
+// nowPs, dropping completed entries when it looks full. Every entry
+// completes after the cycle that queued it, so this gives the verdict of
+// a queue drained at every cycle.
+func queueFull(q *[]int64, limit int, nowPs int64) bool {
+	if len(*q) < limit {
+		return false
+	}
+	out := (*q)[:0]
+	for _, t := range *q {
 		if t > nowPs {
 			out = append(out, t)
 		}
 	}
-	return out
+	*q = out
+	return len(out) >= limit
 }
 
 // stallReason classifies why a warp could not issue this cycle.
@@ -172,10 +174,7 @@ func (c *cluster) tryIssue(w *warp, mem *memSystem, nowPs int64, aluLeft, sfuLef
 		c.acc.branches++
 
 	case isa.OpLoadGlobal:
-		if *lsuLeft == 0 {
-			return stallMemOtherR
-		}
-		if len(c.outstandingLoads) >= cfg.MSHRs {
+		if *lsuLeft == 0 || queueFull(&c.outstandingLoads, cfg.MSHRs, nowPs) {
 			return stallMemOtherR
 		}
 		*lsuLeft--
@@ -184,10 +183,7 @@ func (c *cluster) tryIssue(w *warp, mem *memSystem, nowPs int64, aluLeft, sfuLef
 		c.outstandingLoads = append(c.outstandingLoads, done)
 
 	case isa.OpStoreGlobal:
-		if *lsuLeft == 0 {
-			return stallMemOtherR
-		}
-		if len(c.outstandingStores) >= cfg.StoreQueue {
+		if *lsuLeft == 0 || queueFull(&c.outstandingStores, cfg.StoreQueue, nowPs) {
 			return stallMemOtherR
 		}
 		*lsuLeft--
@@ -224,7 +220,7 @@ func (c *cluster) accessLoad(w *warp, ins *isa.Instruction, mem *memSystem, nowP
 	hitLat := nowPs + int64(c.cfg.L1HitCycles)*period
 	done := hitLat
 	for _, addr := range c.lineBuf {
-		if c.l1.lookup(addr) {
+		if c.l1.access(addr) {
 			c.acc.l1ReadHits++
 			continue
 		}
@@ -239,7 +235,6 @@ func (c *cluster) accessLoad(w *warp, ins *isa.Instruction, mem *memSystem, nowP
 		if dram {
 			c.acc.dramLines++
 		}
-		c.l1.fill(addr)
 		if t > done {
 			done = t
 		}
@@ -284,8 +279,6 @@ func (c *cluster) step(mem *memSystem) (idle bool) {
 		return true
 	}
 
-	c.drainQueues(nowPs)
-
 	aluLeft := c.cfg.ALUUnits
 	sfuLeft := c.cfg.SFUUnits
 	lsuLeft := c.cfg.LSUUnits
@@ -294,30 +287,13 @@ func (c *cluster) step(mem *memSystem) (idle bool) {
 	n := len(c.warps)
 	issuedAny := false
 	for i := 0; i < n; i++ {
-		// Candidate order is the scheduling policy: LRR rotates the start
-		// position; GTO tries the greedy warp first and then the oldest
-		// (lowest-index) warps.
-		var idx int
-		if c.cfg.Scheduler == SchedGTO {
-			switch {
-			case i == 0:
-				idx = c.greedyWarp
-			case i <= c.greedyWarp:
-				idx = i - 1
-			default:
-				idx = i
-			}
-		} else {
-			idx = (c.rrPtr + i) % n
+		if issueLeft == 0 {
+			c.acc.readyNotIssued += int64(c.unfinishedFrom(i))
+			break
 		}
+		idx := c.candidate(i)
 		w := &c.warps[idx]
 		if w.finished {
-			continue
-		}
-		if issueLeft == 0 {
-			// Remaining warps lost arbitration this cycle; count the
-			// eligible ones so occupancy pressure is visible.
-			c.acc.readyNotIssued++
 			continue
 		}
 		reason := c.tryIssue(w, mem, nowPs, &aluLeft, &sfuLeft, &lsuLeft)
@@ -347,6 +323,43 @@ func (c *cluster) step(mem *memSystem) (idle bool) {
 	return !issuedAny
 }
 
+// candidate returns the warp the scheduler tries i-th this cycle. LRR
+// rotates the start position; GTO tries the greedy warp first and then
+// the oldest (lowest-index) warps. Either way the order is a permutation
+// of the warps while rrPtr and greedyWarp hold still. An issue moves
+// greedyWarp mid-scan, and the rest of the scan follows the new order.
+func (c *cluster) candidate(i int) int {
+	if c.cfg.Scheduler == SchedGTO {
+		switch {
+		case i == 0:
+			return c.greedyWarp
+		case i <= c.greedyWarp:
+			return i - 1
+		}
+		return i
+	}
+	idx := c.rrPtr + i
+	if idx >= len(c.warps) {
+		idx -= len(c.warps)
+	}
+	return idx
+}
+
+// unfinishedFrom counts the unfinished warps among candidates i and on:
+// the warps that lose issue-width arbitration once the width is spent,
+// counted so occupancy pressure is visible. No later issue moves the
+// order, which is then a permutation, so they are the unfinished warps
+// less those among the first i candidates.
+func (c *cluster) unfinishedFrom(i int) int {
+	rest := len(c.warps) - c.finishedWarps
+	for k := 0; k < i; k++ {
+		if !c.warps[c.candidate(k)].finished {
+			rest--
+		}
+	}
+	return rest
+}
+
 // idleCycle is one cycle that issued nothing: the stall tallies it added
 // and wakePs, the earliest time at which a later cycle could go
 // differently. Every tick before wakePs repeats it exactly.
@@ -368,8 +381,9 @@ type idleCycle struct {
 // of the first pending register of its current instruction. A warp that
 // passed both was refused an MSHR (global load) or a store-queue slot
 // (store): every unit is free in an idle cycle, so nothing else refuses.
-// That slot frees when the earliest entry of its queue completes. With
-// no threshold left nothing will change, and the wake time is never.
+// The refusal drained that queue of completed entries, so the slot frees
+// when the earliest entry left completes. With no threshold left nothing
+// will change, and the wake time is never.
 // The checks mirror tryIssue's order; a change there must change this.
 func (c *cluster) idleAt(nowPs int64) idleCycle {
 	if c.domain.Stalled(nowPs) {

@@ -16,9 +16,6 @@ type memSystem struct {
 
 	// chanFreePs[i] is the earliest time channel i can accept a new line.
 	chanFreePs []int64
-
-	dramReadLines  int64
-	dramWriteLines int64
 }
 
 func newMemSystem(cfg Config) *memSystem {
@@ -32,8 +29,13 @@ func newMemSystem(cfg Config) *memSystem {
 	}
 }
 
-func (m *memSystem) channel(addr uint64) int {
-	return int((addr >> m.lineShift) % uint64(len(m.chanFreePs)))
+// dramLine books a transfer of the line containing addr on its channel,
+// starting no earlier than t, and returns when the transfer ends.
+func (m *memSystem) dramLine(addr uint64, t int64) int64 {
+	ch := int((addr >> m.lineShift) % uint64(len(m.chanFreePs)))
+	end := max(t, m.chanFreePs[ch]) + m.lineServicePs
+	m.chanFreePs[ch] = end
+	return end
 }
 
 // readLine services an L1 read miss for the line containing addr issued
@@ -41,18 +43,10 @@ func (m *memSystem) channel(addr uint64) int {
 // DRAM line transfer occurred.
 func (m *memSystem) readLine(addr uint64, nowPs int64) (donePs int64, l2Hit, dram bool) {
 	t := nowPs + m.l2LatencyPs
-	if m.l2.lookup(addr) {
+	if m.l2.access(addr) {
 		return t, true, false
 	}
-	ch := m.channel(addr)
-	start := t
-	if m.chanFreePs[ch] > start {
-		start = m.chanFreePs[ch]
-	}
-	m.chanFreePs[ch] = start + m.lineServicePs
-	m.dramReadLines++
-	m.l2.fill(addr)
-	return start + m.lineServicePs + m.dramLatencyPs, false, true
+	return m.dramLine(addr, t) + m.dramLatencyPs, false, true
 }
 
 // writeLine services a write-through store of the line containing addr.
@@ -62,29 +56,15 @@ func (m *memSystem) readLine(addr uint64, nowPs int64) (donePs int64, l2Hit, dra
 // the simulator has no consumers of store data.
 func (m *memSystem) writeLine(addr uint64, nowPs int64) (donePs int64, l2Hit, dram bool) {
 	t := nowPs + m.l2LatencyPs
-	if m.l2.lookup(addr) {
+	if m.l2.access(addr) {
 		return t, true, false
 	}
-	ch := m.channel(addr)
-	start := t
-	if m.chanFreePs[ch] > start {
-		start = m.chanFreePs[ch]
-	}
-	m.chanFreePs[ch] = start + m.lineServicePs
-	m.dramWriteLines++
-	m.l2.fill(addr)
-	return start + m.lineServicePs, false, true
+	return m.dramLine(addr, t), false, true
 }
 
 func (m *memSystem) clone() *memSystem {
-	return &memSystem{
-		l2:             m.l2.clone(),
-		l2LatencyPs:    m.l2LatencyPs,
-		dramLatencyPs:  m.dramLatencyPs,
-		lineServicePs:  m.lineServicePs,
-		lineShift:      m.lineShift,
-		chanFreePs:     append([]int64(nil), m.chanFreePs...),
-		dramReadLines:  m.dramReadLines,
-		dramWriteLines: m.dramWriteLines,
-	}
+	cp := *m
+	cp.l2 = m.l2.clone()
+	cp.chanFreePs = append([]int64(nil), m.chanFreePs...)
+	return &cp
 }

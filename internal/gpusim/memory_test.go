@@ -7,6 +7,19 @@ func testMemConfig() Config {
 	return c
 }
 
+// bookedLines counts the line transfers booked on the DRAM channels since
+// m was built, for requests issued less than one line-service slot after
+// time 0: each channel is then busy from l2LatencyPs for whole slots.
+func bookedLines(m *memSystem) int64 {
+	var n int64
+	for _, free := range m.chanFreePs {
+		if free > 0 {
+			n += (free - m.l2LatencyPs) / m.lineServicePs
+		}
+	}
+	return n
+}
+
 func TestMemReadMissGoesToDRAM(t *testing.T) {
 	m := newMemSystem(testMemConfig())
 	now := int64(1000)
@@ -21,8 +34,8 @@ func TestMemReadMissGoesToDRAM(t *testing.T) {
 	if done != want {
 		t.Fatalf("completion %d, want %d", done, want)
 	}
-	if m.dramReadLines != 1 {
-		t.Fatalf("dramReadLines = %d, want 1", m.dramReadLines)
+	if got := bookedLines(m); got != 1 {
+		t.Fatalf("%d DRAM line transfers booked, want 1", got)
 	}
 }
 
@@ -68,8 +81,8 @@ func TestMemWriteThrough(t *testing.T) {
 	if l2Hit || !dram {
 		t.Fatalf("cold write l2Hit=%v dram=%v", l2Hit, dram)
 	}
-	if m.dramWriteLines != 1 {
-		t.Fatalf("dramWriteLines = %d, want 1", m.dramWriteLines)
+	if got := bookedLines(m); got != 1 {
+		t.Fatalf("%d DRAM line transfers booked, want 1", got)
 	}
 	// Write-allocate: the following read hits L2.
 	_, l2Hit, _ = m.readLine(0x2000, done)
@@ -86,7 +99,7 @@ func TestMemCloneIndependence(t *testing.T) {
 	if m.l2.contains(0x9000) {
 		t.Fatal("clone read leaked into original L2")
 	}
-	if cp.dramReadLines != 2 || m.dramReadLines != 1 {
-		t.Fatalf("dram counts original=%d clone=%d, want 1/2", m.dramReadLines, cp.dramReadLines)
+	if orig, clone := bookedLines(m), bookedLines(cp); orig != 1 || clone != 2 {
+		t.Fatalf("DRAM line transfers original=%d clone=%d, want 1/2", orig, clone)
 	}
 }
